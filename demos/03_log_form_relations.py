@@ -27,9 +27,7 @@ print("expected: #monomials - dim H^2 =", len(monos), "-",
       dcp_poincare(arr).coefficient(2), "=",
       len(monos) - dcp_poincare(arr).coefficient(2))
 
-sing = basis.singular_values
-print("singular value gap: {:.2e} (kept) vs {:.2e} (discarded)".format(
-    sing[len(monos) - basis.nullity - 1], sing[len(monos) - basis.nullity]))
+print("singular value gap (last kept / first discarded): {:.2e}".format(basis.gap))
 print()
 
 

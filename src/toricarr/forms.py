@@ -99,17 +99,20 @@ def eval_generator(gen: FormGenerator, z: np.ndarray) -> np.ndarray:
     return factor * np.array(gen.chi, dtype=complex) / z
 
 
-def _monomial_matrix(gens, monos, z: np.ndarray) -> np.ndarray:
-    """Rows: the C(l, 2) components of Lambda^2; columns: wedge monomials."""
-    l = len(z)
-    covs = np.array([eval_generator(g, z) for g in gens])
-    pairs = [(p, q) for p in range(l) for q in range(p + 1, l)]
-    out = np.zeros((len(pairs), len(monos)), dtype=complex)
-    for col, (a, b) in enumerate(monos):
+def _monomial_blocks(arr: ToricArrangement, samples: int, seed):
+    """Yield one evaluation block per sample point [seed, k], k < samples.
+
+    Rows: the C(l, 2) components of Lambda^2; columns: the wedge monomials in
+    the lex order of :func:`wedge_monomials`.
+    """
+    gens = generators(arr)
+    p, q = np.triu_indices(arr.dim, 1)
+    a, b = np.triu_indices(len(gens), 1)
+    for k in range(samples):
+        z = sample_point(arr, [seed, k])
+        covs = np.array([eval_generator(g, z) for g in gens]).reshape(len(gens), arr.dim)
         va, vb = covs[a], covs[b]
-        for row, (p, q) in enumerate(pairs):
-            out[row, col] = va[p] * vb[q] - va[q] * vb[p]
-    return out
+        yield (va[:, p] * vb[:, q] - va[:, q] * vb[:, p]).T
 
 
 @dataclass
@@ -125,15 +128,21 @@ class RelationBasis:
     def nullity(self) -> int:
         return self.matrix.shape[0]
 
+    @property
+    def gap(self) -> float:
+        """Last kept singular value over the first dropped one; ``inf`` when
+        nothing is kept or nothing is dropped."""
+        kept = self.matrix.shape[1] - self.nullity
+        if kept == 0 or self.nullity == 0:
+            return float("inf")
+        return float(self.singular_values[kept - 1] / self.singular_values[kept])
+
 
 def _evaluation_matrix(arr: ToricArrangement, samples: int, seed) -> np.ndarray:
-    gens = generators(arr)
-    monos = wedge_monomials(arr.dim, arr.n)
-    blocks = [_monomial_matrix(gens, monos, sample_point(arr, [seed, k]))
-              for k in range(samples)]
+    blocks = list(_monomial_blocks(arr, samples, seed))
     if blocks:
         return np.vstack(blocks)
-    return np.zeros((0, len(monos)), dtype=complex)
+    return np.zeros((0, len(wedge_monomials(arr.dim, arr.n))), dtype=complex)
 
 
 def degree2_relations(arr: ToricArrangement, samples: int | None = None,
@@ -143,6 +152,10 @@ def degree2_relations(arr: ToricArrangement, samples: int | None = None,
     Builds the (samples * C(l,2)) x C(l+n,2) matrix of all degree-2 wedge
     monomials evaluated at sampled points of the complement and returns the
     right singular vectors below the relative singular-value threshold.
+
+    For l >= 2 the matrix is tall (samples >= 3 C(l+n,2) and C(l,2) >= 1), so
+    the thin SVD already yields all C(l+n,2) right singular vectors; for
+    l <= 1 it has no rows and every monomial is a relation.
     """
     n_monos = len(wedge_monomials(arr.dim, arr.n))
     if samples is None:
@@ -154,7 +167,8 @@ def degree2_relations(arr: ToricArrangement, samples: int | None = None,
     if mat.shape[0] == 0 or n_monos == 0:
         return RelationBasis(np.eye(n_monos, dtype=complex), tol, samples,
                              np.zeros(0))
-    _, sing, vh = np.linalg.svd(mat)
+    # Tall matrix: thin vh is the full square one, without the unused square U.
+    _, sing, vh = np.linalg.svd(mat, full_matrices=False)
     kept = int(np.sum(sing > tol * sing[0]))
     return RelationBasis(np.conj(vh[kept:]), tol, samples, sing)
 
@@ -172,9 +186,7 @@ def verify_relation(arr: ToricArrangement, coefficients, samples: int | None = N
     scale = np.linalg.norm(coeffs)
     if scale == 0:
         return True
-    gens = generators(arr)
-    for k in range(samples):
-        block = _monomial_matrix(gens, monos, sample_point(arr, [seed, k]))
+    for block in _monomial_blocks(arr, samples, seed):
         residual = np.linalg.norm(block @ coeffs)
         if residual >= tol * scale * max(np.linalg.norm(block), 1.0):
             return False

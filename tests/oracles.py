@@ -7,7 +7,7 @@ from math import gcd, lcm
 import numpy as np
 
 from toricarr.arrangement import Hypersurface, ToricArrangement, parse
-from toricarr.forms import wedge_monomials
+from toricarr.forms import eval_generator, wedge_monomials
 from toricarr.lattice import IntMatrix, saturation, snf
 from toricarr.poset import full_torus, intersect_system
 
@@ -44,6 +44,20 @@ def coeff_vector(arr, terms):
     out = np.zeros(len(monos), dtype=complex)
     for pair, c in terms.items():
         out[monos.index(pair)] = c
+    return out
+
+
+def monomial_matrix_reference(gens, monos, z):
+    """Wedge-monomial evaluation block by a per-entry loop: rows are the
+    pairs p < q of Lambda^2 components, columns the monomials (a, b)."""
+    l = len(z)
+    covs = [eval_generator(g, z) for g in gens]
+    pairs = [(p, q) for p in range(l) for q in range(p + 1, l)]
+    out = np.zeros((len(pairs), len(monos)), dtype=complex)
+    for col, (a, b) in enumerate(monos):
+        va, vb = covs[a], covs[b]
+        for row, (p, q) in enumerate(pairs):
+            out[row, col] = va[p] * vb[q] - va[q] * vb[p]
     return out
 
 

@@ -192,17 +192,15 @@ def test_criterion_7_degree2_relations(capsys):
     arr = four_lines()
     basis = degree2_relations(arr, tol=1e-8, seed=0)
     monos = wedge_monomials(arr.dim, arr.n)
-    sing = basis.singular_values
-    gap = sing[len(monos) - 7] / sing[len(monos) - 6] if basis.nullity == 6 else 0.0
     relations_pass = all(verify_relation(arr, coeff_vector(arr, terms), seed=0)
                          for terms in FOUR_LINES_RELATIONS)
     h2 = dcp_poincare(arr).coefficient(2)
     elapsed = time.monotonic() - start
-    ok = (basis.nullity == 6 and gap > 1e3 and relations_pass
+    ok = (basis.nullity == 6 and basis.gap > 1e3 and relations_pass
           and len(monos) - 6 == 9 == h2 and elapsed < 5.0)
     with capsys.disabled():
         report(7, "six-relations-nine-2-forms", ok,
-               f"nullity {basis.nullity}, gap {gap:.1e}, {elapsed:.2f}s")
+               f"nullity {basis.nullity}, gap {basis.gap:.1e}, {elapsed:.2f}s")
 
 
 def test_criterion_8_weyl_braid_sanity(capsys):

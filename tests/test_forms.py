@@ -7,6 +7,8 @@ from toricarr.arrangement import ToricArrangement, braid, parse, weyl
 from toricarr.cohomology import dcp_poincare
 from toricarr.forms import (
     FormGenerator,
+    RelationBasis,
+    _monomial_blocks,
     degree2_relations,
     eval_generator,
     generators,
@@ -16,7 +18,12 @@ from toricarr.forms import (
 )
 
 
-from oracles import FOUR_LINES_RELATIONS, coeff_vector, four_lines
+from oracles import (
+    FOUR_LINES_RELATIONS,
+    coeff_vector,
+    four_lines,
+    monomial_matrix_reference,
+)
 
 
 # -- sampling -------------------------------------------------------------------
@@ -80,14 +87,30 @@ def test_four_lines_nullity_and_gap():
     basis = degree2_relations(arr, tol=1e-8, seed=0)
     assert basis.nullity == 6
     assert len(wedge_monomials(arr.dim, arr.n)) == 15
-    s = basis.singular_values
-    kept, dropped = s[:15 - 6], s[15 - 6:]
-    assert kept.min() / dropped.max() > 1e3
+    assert basis.gap > 1e3
 
 
 def test_empty_arrangement_nullity_zero():
     basis = degree2_relations(ToricArrangement(2, ()), seed=0)
     assert basis.nullity == 0
+    assert basis.gap == float("inf")
+
+
+def test_rank_one_torus_every_monomial_is_a_relation():
+    """l = 1: Lambda^2 is zero, so the evaluation matrix has no rows."""
+    arr = parse("torus 1\nhyp 1 @ 0/1\nhyp 1 @ 1/2\n")
+    basis = degree2_relations(arr, seed=0)
+    assert len(wedge_monomials(arr.dim, arr.n)) == 3
+    assert basis.nullity == 3
+    assert basis.matrix.shape == (3, 3)
+    assert basis.gap == float("inf")
+    assert dcp_poincare(arr).coefficient(2) == 0
+
+
+def test_gap_is_last_kept_over_first_dropped():
+    sing = np.array([5.0, 4.0, 3.0, 2e-9, 1e-10])
+    basis = RelationBasis(np.zeros((2, 5), dtype=complex), 1e-8, 20, sing)
+    assert basis.gap == 3.0 / 2e-9
 
 
 def test_braid2_single_relation():
@@ -134,6 +157,34 @@ def test_dimension_consistency(make, expected_monos):
     assert len(monos) - basis.nullity == h2
 
 
+@pytest.mark.parametrize("make", [
+    four_lines,
+    lambda: braid(3),
+    lambda: weyl("A", 3),
+    lambda: weyl("B", 3),
+])
+def test_monomial_blocks_match_reference(make):
+    arr = make()
+    gens = generators(arr)
+    monos = wedge_monomials(arr.dim, arr.n)
+    for seed in range(3):
+        for k, block in enumerate(_monomial_blocks(arr, 4, seed)):
+            ref = monomial_matrix_reference(gens, monos, sample_point(arr, [seed, k]))
+            assert block.shape == ref.shape
+            assert np.max(np.abs(block - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_b3_basis_shape_and_rows_are_relations():
+    arr = weyl("B", 3)
+    n_monos = len(wedge_monomials(arr.dim, arr.n))
+    basis = degree2_relations(arr, seed=0)
+    assert basis.matrix.shape == (basis.nullity, n_monos)
+    assert len(basis.singular_values) == n_monos
+    assert n_monos - basis.nullity == dcp_poincare(arr).coefficient(2)
+    for row in basis.matrix:
+        assert verify_relation(arr, row, seed=5)
+
+
 def test_null_basis_rows_are_relations():
     arr = four_lines()
     basis = degree2_relations(arr, seed=0)
@@ -155,11 +206,7 @@ def test_tolerance_robustness():
         dims = {degree2_relations(arr, tol=t, seed=0).nullity
                 for t in (1e-10, 1e-8, 1e-6)}
         assert len(dims) == 1
-        basis = degree2_relations(arr, seed=0)
-        kept = len(basis.singular_values) - basis.nullity
-        if basis.nullity and kept:
-            gap = basis.singular_values[kept - 1] / basis.singular_values[kept]
-            assert gap > 1e3
+        assert degree2_relations(arr, seed=0).gap > 1e3
 
 
 def test_samples_precondition():
