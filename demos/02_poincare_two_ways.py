@@ -1,7 +1,8 @@
 """Compute Poincare polynomials of toric complements by two methods.
 
-Method 1 (dcp): sum over poset components of the top local hyperplane Betti
-number times t^codim * (1+t)^dim.  Always applies.
+Method 1 (dcp): sum over poset components W of |mu(T, W)| times
+t^codim * (1+t)^dim, where mu is the Mobius function of the intersection
+poset from the full torus T.  Always applies.
 
 Method 2 (dr): peel off hypersurfaces one at a time; each step contributes
 t times the Poincare polynomial of the complement restricted to the peeled

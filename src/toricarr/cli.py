@@ -74,22 +74,25 @@ def _parse_ordering(text: str, n: int) -> tuple[int, ...]:
 
 def cmd_analyze(args) -> int:
     arr, digest = _load(args.file)
+    report = find_dr_ordering(arr)
+    unimodular = is_unimodular(arr)
+    poset = build_poset(arr)
+    poincare_dcp = poset.poincare()
+    poincare_dr = "unavailable"
+    if report.ordering is not None:
+        try:
+            poincare_dr = _poly_str(dr_poincare(arr, report.ordering))
+        except DrHypothesisError:
+            pass
     _header("analyze", args.file, digest)
     _emit("l", arr.dim)
     _emit("n", arr.n)
-    _emit("unimodular", str(is_unimodular(arr)).lower())
-    report = find_dr_ordering(arr)
+    _emit("unimodular", str(unimodular).lower())
     _emit("dr_type", str(report.verdict).lower())
     _emit("dr_ordering", _ordering_str(report.ordering))
-    _emit("poincare_dcp", _poly_str(dcp_poincare(arr)))
-    if report.ordering is not None:
-        try:
-            _emit("poincare_dr", _poly_str(dr_poincare(arr, report.ordering)))
-        except DrHypothesisError:
-            _emit("poincare_dr", "unavailable")
-    else:
-        _emit("poincare_dr", "unavailable")
-    _emit("poset_layers", " ".join(str(s) for s in build_poset(arr).layer_sizes()))
+    _emit("poincare_dcp", _poly_str(poincare_dcp))
+    _emit("poincare_dr", poincare_dr)
+    _emit("poset_layers", " ".join(str(s) for s in poset.layer_sizes()))
     return EXIT_OK
 
 
@@ -149,8 +152,8 @@ def cmd_unimodular(args) -> int:
 
 def cmd_drtype(args) -> int:
     arr, digest = _load(args.file)
-    _header("drtype", args.file, digest)
     report = find_dr_ordering(arr)
+    _header("drtype", args.file, digest)
     _emit("dr_type", str(report.verdict).lower())
     _emit("dr_ordering", _ordering_str(report.ordering))
     _emit("step_counts",

@@ -1,10 +1,11 @@
 """Poincare polynomials of toric complements and deletion-restriction typing.
 
-Two independent computations are provided.  ``dcp_poincare`` sums, over the
-components of the intersection poset, the top local Betti number times the
-Poincare polynomial of the component itself (a torus).  ``dr_poincare`` runs
-the deletion-restriction recursion and is only valid when the per-step
-component-count condition holds; it refuses otherwise rather than guessing.
+Two independent computations are provided.  ``dcp_poincare`` sums
+|mu(T, W)| t^codim(W) (1 + t)^dim(W) over the components W of the
+intersection poset, mu being its Mobius function from the full torus T.
+``dr_poincare`` runs the deletion-restriction recursion and is only valid
+when the per-step component-count condition holds; it refuses otherwise
+rather than guessing.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arrangement import ToricArrangement, restrict
-from .hyperplane import top_local_multiplicity
 from .lattice import IntMatrix
 from .polynomial import Polynomial
 from .poset import Component, build_poset, intersect_system
@@ -111,17 +111,13 @@ def find_dr_ordering(arr: ToricArrangement) -> DrReport:
 
 
 def dcp_poincare(arr: ToricArrangement) -> Polynomial:
-    """Poincare polynomial via the layered poset decomposition.
+    """Poincare polynomial as the Mobius sum over the intersection poset.
 
-    Each component W contributes its top local Betti number times
-    t^codim(W) * (1 + t)^dim(W), the latter being the Poincare polynomial of
-    W itself (a torus).
+    Each component W contributes |mu(T, W)| * t^codim(W) * (1 + t)^dim(W)
+    (De Concini-Procesi; Moci), |mu(T, W)| being the top Betti number of
+    the local central arrangement at W and (1 + t)^dim(W) that of W.
     """
-    total = Polynomial.zero()
-    for comp in build_poset(arr).components:
-        mult = top_local_multiplicity(arr, comp)
-        total = total + (mult * Polynomial.binomial(comp.dim)).shift(comp.codim)
-    return total
+    return build_poset(arr).poincare()
 
 
 def dr_poincare(arr: ToricArrangement, ordering) -> Polynomial:

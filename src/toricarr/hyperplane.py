@@ -3,6 +3,8 @@
 Betti numbers of hyperplane complements are computed twice and
 cross-checked: once through the Mobius function of the intersection lattice
 (Whitney-style sum) and once by counting broken-circuit-free sets.
+It is not on the production path: the test suite uses it as the
+independent cross-check of the Mobius sum over the toric poset.
 """
 
 from __future__ import annotations

@@ -51,10 +51,6 @@ class IntMatrix:
         return IntMatrix(n, n, tuple(tuple(1 if i == j else 0 for j in range(n))
                                      for i in range(n)))
 
-    @staticmethod
-    def zero(rows: int, cols: int) -> "IntMatrix":
-        return IntMatrix(rows, cols, tuple((0,) * cols for _ in range(rows)))
-
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i]
 
@@ -78,20 +74,11 @@ class IntMatrix:
         zero = Fraction(0) if _has_fraction(v) else 0
         return tuple(sum((x * y for x, y in zip(r, v)), zero) for r in self.entries)
 
-    def stack(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.cols:
-            raise ValueError("column count mismatch in stack")
-        return IntMatrix(self.rows + other.rows, self.cols,
-                         self.entries + other.entries)
-
     def with_row(self, v) -> "IntMatrix":
         v = tuple(int(x) for x in v)
         if len(v) != self.cols:
             raise ValueError("row length mismatch")
         return IntMatrix(self.rows + 1, self.cols, self.entries + (v,))
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for r in self.entries for x in r)
 
 
 def _has_fraction(v) -> bool:
@@ -357,14 +344,6 @@ def det(a: IntMatrix) -> int:
             M[i][k] = 0
         prev = M[k][k]
     return sign * M[n - 1][n - 1]
-
-
-def unimodular_inverse(u: IntMatrix) -> IntMatrix:
-    """Exact inverse of a matrix with determinant +-1."""
-    res = hnf(u)
-    if res.H != IntMatrix.identity(u.rows):
-        raise ValueError("matrix is not unimodular")
-    return res.U
 
 
 def is_unimodular_matrix(a: IntMatrix) -> bool:

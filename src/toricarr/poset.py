@@ -14,6 +14,7 @@ from itertools import combinations, product
 
 from .arrangement import Hypersurface, ToricArrangement, mod1
 from .lattice import IntMatrix, in_row_lattice, is_unimodular_matrix, rank, saturation, snf
+from .polynomial import Polynomial
 
 
 class UnimodularityMismatch(RuntimeError):
@@ -125,8 +126,19 @@ class IntersectionPoset:
             sizes[c.codim] += 1
         return tuple(sizes)
 
-    def less_equal(self, i: int, j: int) -> bool:
-        return i == j or (i, j) in self.strict_below
+    def poincare(self) -> Polynomial:
+        """Poincare polynomial of the complement: the sum over components W
+        of |mu(T, W)| * t^codim(W) * (1 + t)^dim(W), with mu the Mobius
+        function from the full torus T = components[0].  The components are
+        sorted by codim, so all those containing components[i] precede it.
+        """
+        mu: list[int] = []
+        total = Polynomial.zero()
+        for i, comp in enumerate(self.components):
+            mu.append(1 if i == 0 else
+                      -sum(mu[j] for j in range(i) if (i, j) in self.strict_below))
+            total = total + (abs(mu[i]) * Polynomial.binomial(comp.dim)).shift(comp.codim)
+        return total
 
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Pairs (i, j): components[i] covered by components[j] (nothing between)."""

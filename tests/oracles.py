@@ -8,8 +8,10 @@ import numpy as np
 
 from toricarr.arrangement import Hypersurface, ToricArrangement, parse
 from toricarr.forms import eval_generator, wedge_monomials
+from toricarr.hyperplane import top_local_multiplicity
 from toricarr.lattice import IntMatrix, saturation, snf
-from toricarr.poset import full_torus, intersect_system
+from toricarr.polynomial import Polynomial
+from toricarr.poset import build_poset, full_torus, intersect_system
 
 FOUR_LINES_TEXT = ("torus 2\nhyp 1 0 @ 0/1\nhyp 0 1 @ 0/1\n"
                    "hyp 1 1 @ 0/1\nhyp 1 -1 @ 0/1\n")
@@ -59,6 +61,17 @@ def monomial_matrix_reference(gens, monos, z):
         for row, (p, q) in enumerate(pairs):
             out[row, col] = va[p] * vb[q] - va[q] * vb[p]
     return out
+
+
+def local_lattice_poincare(arr):
+    """Poincare polynomial from a fresh local lattice at every component:
+    each poset component W contributes the top Betti number of the local
+    central arrangement at W times t^codim(W) * (1 + t)^dim(W)."""
+    total = Polynomial.zero()
+    for comp in build_poset(arr).components:
+        mult = top_local_multiplicity(arr, comp)
+        total = total + (mult * Polynomial.binomial(comp.dim)).shift(comp.codim)
+    return total
 
 
 def subset_sweep_components(arr):

@@ -156,6 +156,17 @@ def test_drtype_golden(workdir, capsys):
     assert "step_counts: 1 1 2\n" in out
 
 
+@pytest.mark.parametrize("command", ["analyze", "drtype"])
+def test_ordering_search_limit_leaves_stdout_empty(workdir, capsys, command):
+    # thirteen points in C*: past the n <= 12 limit of the ordering search
+    (workdir / "thirteen.txt").write_text(
+        "torus 1\n" + "".join(f"hyp 1 @ {k}/13\n" for k in range(13)))
+    code, out, err = run(capsys, command, "thirteen.txt")
+    assert code == 1
+    assert out == ""
+    assert "n <= 12" in err
+
+
 def test_weyl_golden(workdir, capsys):
     code, out, _ = run(capsys, "weyl", "--family=B", "--rank=2")
     assert code == 0

@@ -124,7 +124,7 @@ def test_generator_count_four_lines():
 
 def test_methods_agree_when_ordering_found():
     """Whenever the recursion is justified all the way down, it must agree
-    with the layered decomposition exactly.  A passing top-level ordering
+    with the Mobius sum over the poset exactly.  A passing top-level ordering
     does not guarantee that every restriction admits one of its own; that
     case surfaces as the documented refusal and is tolerated here."""
     rng = random.Random(71)

@@ -18,7 +18,6 @@ from toricarr.lattice import (
     row_basis,
     saturation,
     snf,
-    unimodular_inverse,
     vec_mul,
 )
 
@@ -232,13 +231,6 @@ def test_is_primitive():
     assert not is_primitive((0, 5))
     with pytest.raises(ValueError):
         is_primitive((0, 0))
-
-
-def test_unimodular_inverse():
-    u = M([[1, 1], [0, 1]])
-    assert unimodular_inverse(u) @ u == IntMatrix.identity(2)
-    with pytest.raises(ValueError):
-        unimodular_inverse(M([[2, 0], [0, 1]]))
 
 
 def test_mul_vec_with_fractions():

@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
 
-from toricarr.arrangement import ToricArrangement, braid, parse
+import pytest
+
+from toricarr.arrangement import ToricArrangement, braid, parse, weyl
 from toricarr.lattice import IntMatrix
 from toricarr.poset import (
     build_poset,
@@ -13,6 +15,7 @@ from toricarr.poset import (
 
 from oracles import (
     grid_component_count,
+    local_lattice_poincare,
     random_arrangement,
     random_unimodular_arrangement,
     subset_sweep_components,
@@ -164,6 +167,27 @@ def test_poset_order_consistent_with_dimension():
     poset = build_poset(four_lines())
     for i, j in poset.strict_below:
         assert poset.components[i].dim < poset.components[j].dim
+
+
+# -- Poincare polynomial ------------------------------------------------------------
+
+@pytest.mark.parametrize("make", [
+    four_lines, two_curves,
+    lambda: weyl("A", 2), lambda: weyl("A", 3), lambda: weyl("A", 4),
+    lambda: weyl("B", 3), lambda: weyl("C", 3), lambda: weyl("D", 4),
+    lambda: weyl("G2", 2), lambda: braid(3), lambda: braid(4),
+], ids=["four_lines", "two_curves", "A2", "A3", "A4", "B3", "C3", "D4", "G2",
+        "braid3", "braid4"])
+def test_poincare_matches_local_lattices(make):
+    arr = make()
+    assert build_poset(arr).poincare() == local_lattice_poincare(arr)
+
+
+def test_poincare_matches_local_lattices_random():
+    rng = random.Random(44)
+    for _ in range(200):
+        arr = random_arrangement(rng, max_l=3, max_n=6)
+        assert build_poset(arr).poincare() == local_lattice_poincare(arr)
 
 
 # -- is_unimodular -------------------------------------------------------------------
