@@ -299,14 +299,39 @@ def _completion_to_basis(chi: tuple[int, ...]) -> IntMatrix:
     return IntMatrix.from_rows(v)
 
 
+def traces(arr: ToricArrangement, i: int) -> tuple[tuple[Hypersurface, ...], ...]:
+    """Trace of every hypersurface on hypersurface ``i``, 0-based.
+
+    K_i becomes a torus of dimension ``dim - 1`` through a unimodular V with
+    chi_i @ V = e_1.  Entry r lists the g connected components of K_r ∩ K_i
+    (g the gcd of the tail of chi_r @ V) as hypersurfaces of that torus,
+    component t at position t; it is empty for r == i and for K_r parallel
+    to K_i.
+    """
+    hi = arr.hypersurfaces[i]
+    v = _completion_to_basis(hi.chi)
+    out: list[tuple[Hypersurface, ...]] = []
+    for r, hr in enumerate(arr.hypersurfaces):
+        prime = vec_mul(hr.chi, v)
+        head, tail = prime[0], prime[1:]
+        b = mod1(hr.b - head * hi.b)
+        if not any(tail):
+            # K_r is K_i or parallel to it; a parallel one is distinct, so disjoint
+            assert r == i or b != 0, "duplicate hypersurface escaped arrangement validation"
+            out.append(())
+            continue
+        g = gcd(*tail)
+        chi0 = tuple(x // g for x in tail)
+        out.append(tuple(Hypersurface(chi0, Fraction(b + t, g)) for t in range(g)))
+    return tuple(out)
+
+
 def restrict(arr: ToricArrangement, i: int, prefix) -> RestrictedArrangement:
     """Arrangement traced on hypersurface ``i`` by the hypersurfaces in ``prefix``.
 
-    Reparametrizes K_i as a torus of dimension ``dim - 1`` and collects every
-    connected component of K_r ∩ K_i for r in prefix, as primitive-character
-    hypersurfaces.  Empty intersections are dropped; coincident components are
-    deduplicated with all their parents recorded in ``origin_map``.
-    Indices are 0-based.
+    The union of ``traces(arr, i)[r]`` over r in prefix: coincident
+    components are deduplicated with all their parents recorded in
+    ``origin_map``.  Indices are 0-based.
     """
     prefix = sorted(set(prefix))
     if not 0 <= i < arr.n:
@@ -315,30 +340,10 @@ def restrict(arr: ToricArrangement, i: int, prefix) -> RestrictedArrangement:
         raise ValueError(f"index {i} appears in its own prefix")
     if any(not 0 <= r < arr.n for r in prefix):
         raise ValueError("prefix index out of range")
-    hi = arr.hypersurfaces[i]
-    v = _completion_to_basis(hi.chi)
-    order: list[Hypersurface] = []
-    index: dict[Hypersurface, int] = {}
-    origins: list[list[tuple[int, int]]] = []
+    trace = traces(arr, i)
+    origins: dict[Hypersurface, list[tuple[int, int]]] = {}
     for r in prefix:
-        hr = arr.hypersurfaces[r]
-        prime = vec_mul(hr.chi, v)
-        head, tail = prime[0], prime[1:]
-        b = mod1(hr.b - head * hi.b)
-        if not any(tail):
-            # K_r parallel to K_i; distinct hypersurfaces, so the trace is empty
-            assert b != 0, "duplicate hypersurface escaped arrangement validation"
-            continue
-        g = 0
-        for x in tail:
-            g = gcd(g, x)
-        chi0 = tuple(x // g for x in tail)
-        for t in range(g):
-            h = Hypersurface(chi0, Fraction(b + t, g))
-            if h not in index:
-                index[h] = len(order)
-                order.append(h)
-                origins.append([])
-            origins[index[h]].append((r, t))
-    ambient = ToricArrangement(arr.dim - 1, tuple(order))
-    return RestrictedArrangement(ambient, tuple(tuple(o) for o in origins))
+        for t, h in enumerate(trace[r]):
+            origins.setdefault(h, []).append((r, t))
+    ambient = ToricArrangement(arr.dim - 1, tuple(origins))
+    return RestrictedArrangement(ambient, tuple(tuple(o) for o in origins.values()))

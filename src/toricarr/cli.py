@@ -169,10 +169,11 @@ def cmd_weyl(args) -> int:
 
 def cmd_relations(args) -> int:
     arr, digest = _load(args.file)
-    _header("relations", args.file, digest)
     monos = wedge_monomials(arr.dim, arr.n)
     gens = generators(arr)
     basis = degree2_relations(arr, samples=args.samples, tol=args.tol, seed=args.seed)
+    h2 = dcp_poincare(arr).coefficient(2)
+    _header("relations", args.file, digest)
     _emit("samples", basis.samples)
     _emit("tol", args.tol)
     _emit("seed", args.seed)
@@ -180,7 +181,6 @@ def cmd_relations(args) -> int:
     _emit("monomials", len(monos))
     _emit("monomial_order",
           " ".join(f"{gens[a].name()}^{gens[b].name()}" for a, b in monos))
-    h2 = dcp_poincare(arr).coefficient(2)
     _emit("nullity", basis.nullity)
     _emit("expected_h2", h2)
     _emit("consistent", str(len(monos) - basis.nullity == h2).lower())

@@ -4,18 +4,18 @@ Two independent computations are provided.  ``dcp_poincare`` sums
 |mu(T, W)| t^codim(W) (1 + t)^dim(W) over the components W of the
 intersection poset, mu being its Mobius function from the full torus T.
 ``dr_poincare`` runs the deletion-restriction recursion and is only valid
-when the per-step component-count condition holds; it refuses otherwise
-rather than guessing.
+when the per-step component-count condition holds along an ordering: step k
+counts the hypersurfaces of ``restrict(arr, ordering[k], ordering[:k])``,
+and there may be at most k.  It refuses otherwise rather than guessing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arrangement import ToricArrangement, restrict
-from .lattice import IntMatrix
+from .arrangement import ToricArrangement, restrict, traces
 from .polynomial import Polynomial
-from .poset import Component, build_poset, intersect_system
+from .poset import build_poset
 
 
 class DrHypothesisError(RuntimeError):
@@ -28,6 +28,7 @@ class DrReport:
 
     ``ordering`` is a permutation of the hypersurface indices (0-based), or
     None when no ordering passes.  ``step_counts[k]`` is the number of
+    hypersurfaces of ``restrict(arr, ordering[k+1], ordering[:k+1])``, the
     distinct components cut on hypersurface ordering[k+1] by its
     predecessors; the verdict requires step_counts[k] <= k + 1 throughout.
     """
@@ -37,37 +38,30 @@ class DrReport:
     verdict: bool
 
 
-def _pair_components(arr: ToricArrangement, cache: dict, a: int, b: int) -> frozenset[Component]:
-    key = (a, b) if a < b else (b, a)
-    got = cache.get(key)
-    if got is None:
-        ha, hb = arr.hypersurfaces[key[0]], arr.hypersurfaces[key[1]]
-        sys_a = IntMatrix(2, arr.dim, (ha.chi, hb.chi))
-        got = frozenset(intersect_system(sys_a, (ha.b, hb.b)))
-        cache[key] = got
-    return got
+def _step_count(arr: ToricArrangement, cache: dict, i: int, prefix) -> int:
+    """Number of hypersurfaces of ``restrict(arr, i, prefix).ambient``: the
+    distinct components in the union of the traces of the prefix on K_i."""
+    sets = cache.get(i)
+    if sets is None:
+        sets = cache[i] = tuple(frozenset(t) for t in traces(arr, i))
+    return len(frozenset().union(*[sets[r] for r in prefix]))
 
 
-def dr_condition_check(arr: ToricArrangement, ordering, _cache: dict | None = None) -> DrReport:
+def dr_condition_check(arr: ToricArrangement, ordering) -> DrReport:
     """Check the per-step component-count condition along one ordering.
 
-    At step k (0-based, k >= 1) the hypersurfaces ordering[:k] must cut at
-    most k distinct connected components on hypersurface ordering[k].
+    At step k (0-based, k >= 1) the restriction
+    ``restrict(arr, ordering[k], ordering[:k])`` must have at most k
+    hypersurfaces.
     """
     ordering = tuple(ordering)
     if sorted(ordering) != list(range(arr.n)):
         raise ValueError("ordering must be a permutation of the hypersurface indices")
-    cache = {} if _cache is None else _cache
-    counts = []
-    verdict = True
-    for k in range(1, arr.n):
-        labels: set[Component] = set()
-        for r in ordering[:k]:
-            labels |= _pair_components(arr, cache, r, ordering[k])
-        counts.append(len(labels))
-        if len(labels) > k:
-            verdict = False
-    return DrReport(ordering, tuple(counts), verdict)
+    cache: dict = {}
+    counts = tuple(_step_count(arr, cache, ordering[k], ordering[:k])
+                   for k in range(1, arr.n))
+    verdict = all(c <= k for k, c in enumerate(counts, start=1))
+    return DrReport(ordering, counts, verdict)
 
 
 def find_dr_ordering(arr: ToricArrangement) -> DrReport:
@@ -89,12 +83,10 @@ def find_dr_ordering(arr: ToricArrangement) -> DrReport:
             if used[cand]:
                 continue
             if pos:
-                labels: set[Component] = set()
-                for r in chosen:
-                    labels |= _pair_components(arr, cache, r, cand)
-                if len(labels) > pos:
+                count = _step_count(arr, cache, cand, chosen)
+                if count > pos:
                     continue
-                counts.append(len(labels))
+                counts.append(count)
             chosen.append(cand)
             used[cand] = True
             if dfs():

@@ -151,12 +151,15 @@ def degree2_relations(arr: ToricArrangement, samples: int | None = None,
 
     Builds the (samples * C(l,2)) x C(l+n,2) matrix of all degree-2 wedge
     monomials evaluated at sampled points of the complement and returns the
-    right singular vectors below the relative singular-value threshold.
+    right singular vectors below the relative singular-value threshold
+    ``tol * s_max``; raises ValueError unless 0 < tol < 1.
 
     For l >= 2 the matrix is tall (samples >= 3 C(l+n,2) and C(l,2) >= 1), so
     the thin SVD already yields all C(l+n,2) right singular vectors; for
     l <= 1 it has no rows and every monomial is a relation.
     """
+    if not 0 < tol < 1:
+        raise ValueError(f"tol must satisfy 0 < tol < 1, got {tol}")
     n_monos = len(wedge_monomials(arr.dim, arr.n))
     if samples is None:
         samples = 4 * n_monos

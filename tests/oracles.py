@@ -1,6 +1,7 @@
 """Independent brute-force oracles, fixtures, and random instance generators."""
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
 
@@ -72,6 +73,26 @@ def local_lattice_poincare(arr):
         mult = top_local_multiplicity(arr, comp)
         total = total + (mult * Polynomial.binomial(comp.dim)).shift(comp.codim)
     return total
+
+
+@lru_cache(maxsize=None)
+def _pair_labels(ha, hb):
+    sys_a = IntMatrix(2, len(ha.chi), (ha.chi, hb.chi))
+    return frozenset(intersect_system(sys_a, (ha.b, hb.b)))
+
+
+def pair_step_counts(arr, ordering):
+    """Deletion-restriction step counts from the poset labels: at step k,
+    the number of distinct components of the 2-row systems
+    {ordering[r], ordering[k]}, r < k, for k = 1 .. len(ordering) - 1."""
+    hyps = [arr.hypersurfaces[i] for i in ordering]
+    counts = []
+    for k in range(1, len(hyps)):
+        labels = set()
+        for hr in hyps[:k]:
+            labels |= _pair_labels(hr, hyps[k])
+        counts.append(len(labels))
+    return tuple(counts)
 
 
 def subset_sweep_components(arr):

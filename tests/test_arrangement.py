@@ -12,12 +12,13 @@ from toricarr.arrangement import (
     positive_roots,
     restrict,
     serialize,
+    traces,
     weyl,
 )
 from toricarr.lattice import IntMatrix, is_primitive
-from toricarr.poset import build_poset, intersect_system
+from toricarr.poset import build_poset
 
-from oracles import random_arrangement
+from oracles import pair_step_counts, random_arrangement
 
 EX_FOUR_LINES = """\
 torus 2
@@ -201,6 +202,14 @@ def test_restrict_disconnected_trace():
         Fraction(0), Fraction(1, 3), Fraction(2, 3)}
 
 
+def test_traces_entries():
+    tr = traces(two_curves(), 1)
+    assert tr[1] == ()
+    assert {(h.chi, h.b) for h in tr[0]} == {((1,), Fraction(k, 3)) for k in range(3)}
+    # parallel hypersurfaces are disjoint
+    assert traces(parse("torus 2\nhyp 1 0 @ 0/1\nhyp 1 0 @ 1/2\n"), 0) == ((), ())
+
+
 def test_restrict_errors():
     arr = four_lines()
     with pytest.raises(ValueError):
@@ -223,13 +232,8 @@ def test_restrict_output_primitive_and_counts():
         assert res.ambient.dim == arr.dim - 1
         for h in res.ambient.hypersurfaces:
             assert is_primitive(h.chi)
-        hi = arr.hypersurfaces[i]
-        labels = set()
-        for r in prefix:
-            hr = arr.hypersurfaces[r]
-            sys_a = IntMatrix(2, arr.dim, (hr.chi, hi.chi))
-            labels.update(intersect_system(sys_a, (hr.b, hi.b)))
-        assert res.ambient.n == len(labels)
+        counts = pair_step_counts(arr, (*prefix, i))
+        assert res.ambient.n == (counts[-1] if prefix else 0)
 
 
 def test_weyl_a_matches_braid_layers():

@@ -220,6 +220,15 @@ def test_relations_empty(workdir, capsys):
     assert "consistent: true\n" in out
 
 
+@pytest.mark.parametrize("flag", ["--samples=1", "--tol=-1", "--tol=0",
+                                  "--tol=nan", "--tol=2"])
+def test_relations_bad_flag_leaves_stdout_empty(workdir, capsys, flag):
+    code, out, err = run(capsys, "relations", flag, "four_lines.txt")
+    assert code == 1
+    assert out == ""
+    assert ("samples" if flag == "--samples=1" else "0 < tol < 1") in err
+
+
 def test_parse_error_exit_1(workdir, capsys):
     code, _, err = run(capsys, "analyze", "bad.txt")
     assert code == 1

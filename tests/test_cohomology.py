@@ -14,7 +14,7 @@ from toricarr.cohomology import (
 )
 from toricarr.polynomial import Polynomial
 
-from oracles import random_arrangement, random_unimodular_arrangement
+from oracles import pair_step_counts, random_arrangement, random_unimodular_arrangement
 
 
 def four_lines():
@@ -69,6 +69,21 @@ def test_condition_single_hypersurface():
 def test_condition_invalid_permutation():
     with pytest.raises(ValueError):
         dr_condition_check(four_lines(), (0, 1, 2))
+
+
+def test_step_counts_match_pair_components():
+    """Step counts equal the distinct pairwise poset components, and the
+    search returns the lexicographically first ordering that passes."""
+    rng = random.Random(29)
+    arrs = [random_arrangement(rng, max_l=4, max_n=6) for _ in range(60)]
+    arrs += [weyl("B", 3), two_curves()]
+    for arr in arrs:
+        for _ in range(5):
+            p = tuple(rng.sample(range(arr.n), arr.n))
+            assert dr_condition_check(arr, p).step_counts == pair_step_counts(arr, p)
+        passing = (p for p in permutations(range(arr.n))
+                   if all(c <= k for k, c in enumerate(pair_step_counts(arr, p), start=1)))
+        assert find_dr_ordering(arr).ordering == next(passing, None)
 
 
 def test_find_ordering():
