@@ -299,6 +299,24 @@ def _completion_to_basis(chi: tuple[int, ...]) -> IntMatrix:
     return IntMatrix.from_rows(v)
 
 
+def _trace(arr: ToricArrangement, i: int, v: IntMatrix, r: int) -> tuple[Hypersurface, ...]:
+    """Components of K_r ∩ K_i as hypersurfaces of K_i, in the coordinates
+    of ``v = _completion_to_basis(chi_i)``: component t of the g = gcd of
+    the tail of chi_r @ V at position t; empty for r == i and for K_r
+    parallel to K_i."""
+    hi, hr = arr.hypersurfaces[i], arr.hypersurfaces[r]
+    prime = vec_mul(hr.chi, v)
+    head, tail = prime[0], prime[1:]
+    b = mod1(hr.b - head * hi.b)
+    if not any(tail):
+        # K_r is K_i or parallel to it; a parallel one is distinct, so disjoint
+        assert r == i or b != 0, "duplicate hypersurface escaped arrangement validation"
+        return ()
+    g = gcd(*tail)
+    chi0 = tuple(x // g for x in tail)
+    return tuple(Hypersurface(chi0, Fraction(b + t, g)) for t in range(g))
+
+
 def traces(arr: ToricArrangement, i: int) -> tuple[tuple[Hypersurface, ...], ...]:
     """Trace of every hypersurface on hypersurface ``i``, 0-based.
 
@@ -308,30 +326,16 @@ def traces(arr: ToricArrangement, i: int) -> tuple[tuple[Hypersurface, ...], ...
     component t at position t; it is empty for r == i and for K_r parallel
     to K_i.
     """
-    hi = arr.hypersurfaces[i]
-    v = _completion_to_basis(hi.chi)
-    out: list[tuple[Hypersurface, ...]] = []
-    for r, hr in enumerate(arr.hypersurfaces):
-        prime = vec_mul(hr.chi, v)
-        head, tail = prime[0], prime[1:]
-        b = mod1(hr.b - head * hi.b)
-        if not any(tail):
-            # K_r is K_i or parallel to it; a parallel one is distinct, so disjoint
-            assert r == i or b != 0, "duplicate hypersurface escaped arrangement validation"
-            out.append(())
-            continue
-        g = gcd(*tail)
-        chi0 = tuple(x // g for x in tail)
-        out.append(tuple(Hypersurface(chi0, Fraction(b + t, g)) for t in range(g)))
-    return tuple(out)
+    v = _completion_to_basis(arr.hypersurfaces[i].chi)
+    return tuple(_trace(arr, i, v, r) for r in range(arr.n))
 
 
 def restrict(arr: ToricArrangement, i: int, prefix) -> RestrictedArrangement:
     """Arrangement traced on hypersurface ``i`` by the hypersurfaces in ``prefix``.
 
-    The union of ``traces(arr, i)[r]`` over r in prefix: coincident
-    components are deduplicated with all their parents recorded in
-    ``origin_map``.  Indices are 0-based.
+    The union of ``traces(arr, i)[r]`` over r in prefix, computing only
+    those traces: coincident components are deduplicated with all their
+    parents recorded in ``origin_map``.  Indices are 0-based.
     """
     prefix = sorted(set(prefix))
     if not 0 <= i < arr.n:
@@ -340,10 +344,10 @@ def restrict(arr: ToricArrangement, i: int, prefix) -> RestrictedArrangement:
         raise ValueError(f"index {i} appears in its own prefix")
     if any(not 0 <= r < arr.n for r in prefix):
         raise ValueError("prefix index out of range")
-    trace = traces(arr, i)
+    v = _completion_to_basis(arr.hypersurfaces[i].chi)
     origins: dict[Hypersurface, list[tuple[int, int]]] = {}
     for r in prefix:
-        for t, h in enumerate(trace[r]):
+        for t, h in enumerate(_trace(arr, i, v, r)):
             origins.setdefault(h, []).append((r, t))
     ambient = ToricArrangement(arr.dim - 1, tuple(origins))
     return RestrictedArrangement(ambient, tuple(tuple(o) for o in origins.values()))

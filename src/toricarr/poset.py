@@ -4,6 +4,14 @@ A component is canonically labeled by the saturated sublattice of characters
 that are constant on it (HNF basis) together with their values in Q/Z.  Two
 components are equal iff those labels agree; the stored witness point is a
 convenience and never takes part in comparisons.
+
+One Smith normal form per character system gives everything: consistency
+and the component count (the product of the divisors), the witnesses by
+back-substitution in integers over one common denominator, and the label
+lattice (:func:`~toricarr.lattice.saturation_from_snf`).  The order comes
+from the layered sweep of :func:`build_poset`, which records each component
+as a child of the components it was cut from; no pair of components is
+compared for containment.
 """
 
 from __future__ import annotations
@@ -11,9 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
+from math import lcm, prod
 
 from .arrangement import Hypersurface, ToricArrangement, mod1
-from .lattice import IntMatrix, in_row_lattice, is_unimodular_matrix, rank, saturation, snf
+from .lattice import (IntMatrix, in_row_lattice, is_unimodular_matrix, rank,
+                      saturation_from_snf, snf)
 from .polynomial import Polynomial
 
 
@@ -70,6 +80,26 @@ def hypersurface_contains(comp: Component, h: Hypersurface) -> bool:
             and mod1(_dot(h.chi, comp.witness)) == h.b)
 
 
+def _smith_solve(a: IntMatrix, b):
+    """Smith form of ``a`` and the right-hand side ``b`` in its coordinates.
+
+    ``b`` is reduced mod 1 and scaled to integers over den, the lcm of its
+    denominators.  Returns (res, d, beta, den) with ``res`` the Smith form,
+    ``d`` its divisors and beta = U @ (den * b); or None when the system is
+    inconsistent, i.e. some beta_j with j >= rank is not divisible by den.
+    """
+    if len(b) != a.rows:
+        raise ValueError("one value per character row is required")
+    den = lcm(*(x.denominator for x in b))
+    scaled = [x.numerator * (den // x.denominator) % den for x in b]
+    res = snf(a)
+    d = res.divisors()
+    beta = [sum(u * x for u, x in zip(row, scaled)) for row in res.U.entries]
+    if any(x % den for x in beta[len(d):]):
+        return None
+    return res, d, beta, den
+
+
 def intersect_system(a: IntMatrix, b) -> list[Component]:
     """Connected components of {z : z^(row_i) = exp(2*pi*i*b_i) for all i}.
 
@@ -77,28 +107,26 @@ def intersect_system(a: IntMatrix, b) -> list[Component]:
     left-kernel combination of the rows has a non-integral value).  Otherwise
     the component count is the product of the elementary divisors of ``a``,
     and witnesses come from Smith-form back-substitution with free
-    coordinates pinned to zero.
+    coordinates pinned to zero, in integers over the one denominator
+    den * lcm(d); each ``Fraction`` is built once, for the ``Component``.
+    The saturated label lattice comes from the same Smith form.
     """
-    b = tuple(mod1(x) for x in b)
-    if len(b) != a.rows:
-        raise ValueError("one value per character row is required")
-    l = a.cols
-    res = snf(a)
-    d = res.divisors()
-    r = len(d)
-    beta = res.U.mul_vec(b) if a.rows else ()
-    for j in range(r, a.rows):
-        if mod1(beta[j]) != 0:
-            return []
-    sat = saturation(a)
+    solved = _smith_solve(a, b)
+    if solved is None:
+        return []
+    res, d, beta, den = solved
+    sat = saturation_from_snf(a, res)
+    big = den * lcm(*d)
+    scale = [big // (den * dj) for dj in d]
+    v = [row[:len(d)] for row in res.V.entries]
     out = []
     for t in product(*(range(dj) for dj in d)):
-        w = [Fraction(0)] * l
-        for j in range(r):
-            w[j] = Fraction(beta[j] + t[j], d[j])
-        u = tuple(mod1(x) for x in res.V.mul_vec(w))
-        values = tuple(mod1(_dot(h, u)) for h in sat.entries)
-        out.append(Component(sat, values, l - sat.rows, u))
+        w = [(bj + tj * den) * s for bj, tj, s in zip(beta, t, scale)]
+        u = [sum(x * y for x, y in zip(row, w)) % big for row in v]
+        values = tuple(Fraction(sum(x * y for x, y in zip(h, u)) % big, big)
+                       for h in sat.entries)
+        out.append(Component(sat, values, a.cols - sat.rows,
+                             tuple(Fraction(x, big) for x in u)))
     return out
 
 
@@ -141,13 +169,14 @@ class IntersectionPoset:
         return total
 
     def covers(self) -> tuple[tuple[int, int], ...]:
-        """Pairs (i, j): components[i] covered by components[j] (nothing between)."""
-        out = []
-        for i, j in sorted(self.strict_below):
-            if not any((i, k) in self.strict_below and (k, j) in self.strict_below
-                       for k in range(len(self.components))):
-                out.append((i, j))
-        return tuple(out)
+        """Pairs (i, j): components[i] covered by components[j] (nothing between).
+
+        These are the pairs of ``strict_below`` one codimension apart, which
+        are exactly the edges of the sweep in :func:`build_poset`.
+        """
+        comps = self.components
+        return tuple(sorted((i, j) for i, j in self.strict_below
+                            if comps[i].codim == comps[j].codim + 1))
 
 
 def _label_key(c: Component):
@@ -157,44 +186,67 @@ def _label_key(c: Component):
 def build_poset(arr: ToricArrangement) -> IntersectionPoset:
     """Enumerate every connected component of every intersection.
 
-    Works layer by layer: each known component is intersected with each
-    hypersurface not already containing it, and the resulting components are
-    deduplicated by canonical label.  This reaches every component of every
-    subset intersection (the exhaustive subset sweep is kept in the test
-    suite as an oracle).
+    Works layer by layer: each known component C is intersected with each
+    hypersurface K not already containing it, and the resulting components
+    are deduplicated by canonical label.  This reaches every component of
+    every subset intersection (the exhaustive subset sweep is kept in the
+    test suite as an oracle).  Each component W of C ∩ K is recorded as a
+    child of C, on the canonical instance of W, and has codim(C) + 1.  When
+    W ⊊ C, some K contains W but not C, and W lies in a component of C ∩ K;
+    so every strict containment is a chain of such edges, and
+    ``strict_below`` is their transitive closure, taken over the
+    codimension-sorted components with one bitmask per component.
     """
     torus = full_torus(arr.dim)
-    seen = {torus}
-    frontier = [torus]
+    found = [torus]
+    index = {torus: 0}
+    parents: list[set[int]] = [set()]
+    frontier = [0]
     while frontier:
         nxt = []
-        for comp in frontier:
+        for p in frontier:
+            comp = found[p]
             for h in arr.hypersurfaces:
                 if hypersurface_contains(comp, h):
                     continue
                 sys_a = comp.sat_basis.with_row(h.chi)
                 sys_b = comp.values + (h.b,)
                 for w in intersect_system(sys_a, sys_b):
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
+                    k = index.get(w)
+                    if k is None:
+                        k = index[w] = len(found)
+                        found.append(w)
+                        parents.append(set())
+                        nxt.append(k)
+                    parents[k].add(p)
         frontier = nxt
-    comps = tuple(sorted(seen, key=_label_key))
-    below = set()
-    for i, ci in enumerate(comps):
-        for j, cj in enumerate(comps):
-            if ci.codim > cj.codim and component_contains(ci, cj):
-                below.add((i, j))
-    return IntersectionPoset(arr.dim, comps, frozenset(below))
+    order = sorted(range(len(found)), key=lambda k: _label_key(found[k]))
+    pos = [0] * len(found)
+    for i, k in enumerate(order):
+        pos[k] = i
+    above = []
+    below = []
+    for i, k in enumerate(order):
+        mask = 0
+        for p in parents[k]:
+            mask |= above[pos[p]] | (1 << pos[p])
+        above.append(mask)
+        while mask:
+            low = mask & -mask
+            below.append((i, low.bit_length() - 1))
+            mask ^= low
+    return IntersectionPoset(arr.dim, tuple(found[k] for k in order), frozenset(below))
 
 
 def is_unimodular(arr: ToricArrangement) -> bool:
     """True iff every subset intersection is empty or connected.
 
     Subsets of size at most ``dim`` suffice: a larger subset spans the same
-    saturated lattice as a maximal independent subset of itself.  When the
-    character matrix has full rank the verdict is cross-checked against the
-    maximal-minor criterion; disagreement raises
+    saturated lattice as a maximal independent subset of itself.  A subset
+    system has no component when inconsistent and otherwise as many as the
+    product of its Smith divisors, so the components are counted, not
+    built.  When the character matrix has full rank the verdict is
+    cross-checked against the maximal-minor criterion; disagreement raises
     :class:`UnimodularityMismatch`.
     """
     chars = arr.char_matrix()
@@ -203,7 +255,8 @@ def is_unimodular(arr: ToricArrangement) -> bool:
     for size in range(1, min(arr.n, arr.dim) + 1):
         for subset in combinations(range(arr.n), size):
             sub = IntMatrix(size, arr.dim, tuple(chars.entries[i] for i in subset))
-            if len(intersect_system(sub, tuple(bs[i] for i in subset))) > 1:
+            solved = _smith_solve(sub, tuple(bs[i] for i in subset))
+            if (0 if solved is None else prod(solved[1])) > 1:
                 verdict = False
                 break
         if not verdict:

@@ -2,17 +2,25 @@
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd, lcm
 
 import numpy as np
 
-from toricarr.arrangement import Hypersurface, ToricArrangement, parse
+from toricarr.arrangement import Hypersurface, ToricArrangement, mod1, parse
 from toricarr.forms import eval_generator, wedge_monomials
 from toricarr.hyperplane import top_local_multiplicity
-from toricarr.lattice import IntMatrix, saturation, snf
+from toricarr.lattice import IntMatrix, left_kernel, snf
 from toricarr.polynomial import Polynomial
-from toricarr.poset import build_poset, full_torus, intersect_system
+from toricarr.poset import (
+    Component,
+    IntersectionPoset,
+    build_poset,
+    component_contains,
+    full_torus,
+    hypersurface_contains,
+    intersect_system,
+)
 
 FOUR_LINES_TEXT = ("torus 2\nhyp 1 0 @ 0/1\nhyp 0 1 @ 0/1\n"
                    "hyp 1 1 @ 0/1\nhyp 1 -1 @ 0/1\n")
@@ -135,13 +143,96 @@ def grid_component_count(a: IntMatrix, b) -> int:
         sols = grid
     if len(sols) == 0:
         return 0
-    sat = saturation(a)
+    sat = saturation_reference(a)
     if sat.rows == 0:
         return 1
     vals = (sols @ np.array(sat.entries, dtype=np.int64).T) % m
     classes, counts = np.unique(vals, axis=0, return_counts=True)
     assert len(set(counts.tolist())) == 1, "unequal component classes on the grid"
     return len(classes)
+
+
+def saturation_reference(a):
+    """Saturation of the row lattice as the double orthogonal complement:
+    the integer left kernel of the integer right kernel of ``a``."""
+    ker = left_kernel(a.transpose())     # integer right kernel of a, as rows
+    return left_kernel(ker.transpose())
+
+
+def _fraction_dot(ints, fracs):
+    return sum((x * y for x, y in zip(ints, fracs)), Fraction(0))
+
+
+def intersect_system_reference(a, b):
+    """Components of a character system in ``Fraction`` arithmetic: Smith
+    back-substitution with free coordinates pinned to zero, the label lattice
+    from :func:`saturation_reference`.  Same components, witnesses included,
+    in the same order as ``intersect_system``."""
+    b = tuple(mod1(x) for x in b)
+    if len(b) != a.rows:
+        raise ValueError("one value per character row is required")
+    l = a.cols
+    res = snf(a)
+    d = res.divisors()
+    r = len(d)
+    beta = res.U.mul_vec(b) if a.rows else ()
+    if any(mod1(beta[j]) != 0 for j in range(r, a.rows)):
+        return []
+    sat = saturation_reference(a)
+    out = []
+    for t in product(*(range(dj) for dj in d)):
+        w = [Fraction(0)] * l
+        for j in range(r):
+            w[j] = Fraction(beta[j] + t[j], d[j])
+        u = tuple(mod1(x) for x in res.V.mul_vec(w))
+        values = tuple(mod1(_fraction_dot(h, u)) for h in sat.entries)
+        out.append(Component(sat, values, l - sat.rows, u))
+    return out
+
+
+def poset_reference(arr):
+    """The intersection poset by the layered sweep with
+    :func:`intersect_system_reference`, ordered by all-pairs
+    ``component_contains`` tests."""
+    torus = full_torus(arr.dim)
+    seen = {torus}
+    frontier = [torus]
+    while frontier:
+        nxt = []
+        for comp in frontier:
+            for h in arr.hypersurfaces:
+                if hypersurface_contains(comp, h):
+                    continue
+                sys_a = comp.sat_basis.with_row(h.chi)
+                for w in intersect_system_reference(sys_a, comp.values + (h.b,)):
+                    if w not in seen:
+                        seen.add(w)
+                        nxt.append(w)
+        frontier = nxt
+    comps = tuple(sorted(seen, key=lambda c: (c.codim, c.sat_basis.entries, c.values)))
+    below = frozenset((i, j) for i, ci in enumerate(comps) for j, cj in enumerate(comps)
+                      if ci.codim > cj.codim and component_contains(ci, cj))
+    return IntersectionPoset(arr.dim, comps, below)
+
+
+def covers_reference(poset):
+    """Pairs of ``strict_below`` with no component strictly between."""
+    below = poset.strict_below
+    return tuple((i, j) for i, j in sorted(below)
+                 if not any((i, k) in below and (k, j) in below
+                            for k in range(len(poset.components))))
+
+
+def unimodular_by_definition(arr):
+    """True iff every subset system has at most one component, by
+    :func:`intersect_system_reference` on all 2^n subsets."""
+    chars, bs = arr.char_matrix(), arr.b_vector()
+    for size in range(1, arr.n + 1):
+        for subset in combinations(range(arr.n), size):
+            sub = IntMatrix(size, arr.dim, tuple(chars.entries[i] for i in subset))
+            if len(intersect_system_reference(sub, tuple(bs[i] for i in subset))) > 1:
+                return False
+    return True
 
 
 def _random_primitive(rng, l, bound):

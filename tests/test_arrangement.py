@@ -210,6 +210,26 @@ def test_traces_entries():
     assert traces(parse("torus 2\nhyp 1 0 @ 0/1\nhyp 1 0 @ 1/2\n"), 0) == ((), ())
 
 
+def test_restrict_is_union_of_traces():
+    """restrict builds only the prefix's traces; its ambient and origin_map,
+    order included, are the union of ``traces(arr, i)`` over the prefix."""
+    rng = random.Random(18)
+    arrs = [random_arrangement(rng, max_l=4, max_n=6) for _ in range(60)]
+    arrs += [four_lines(), two_curves(), weyl("G2", 2), weyl("B", 3), braid(4)]
+    for arr in arrs:
+        for i in range(arr.n):
+            prefix = [r for r in range(arr.n) if r != i and rng.random() < 0.6]
+            rng.shuffle(prefix)
+            trace = traces(arr, i)
+            origins = {}
+            for r in sorted(prefix):
+                for t, h in enumerate(trace[r]):
+                    origins.setdefault(h, []).append((r, t))
+            res = restrict(arr, i, prefix)
+            assert res.ambient == ToricArrangement(arr.dim - 1, tuple(origins))
+            assert res.origin_map == tuple(tuple(o) for o in origins.values())
+
+
 def test_restrict_errors():
     arr = four_lines()
     with pytest.raises(ValueError):

@@ -1,10 +1,11 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from toricarr.arrangement import ToricArrangement, braid, parse, weyl
-from toricarr.lattice import IntMatrix
+from toricarr.lattice import IntMatrix, rank, saturation, snf
 from toricarr.poset import (
     build_poset,
     component_contains,
@@ -14,11 +15,16 @@ from toricarr.poset import (
 )
 
 from oracles import (
+    covers_reference,
     grid_component_count,
+    intersect_system_reference,
     local_lattice_poincare,
+    poset_reference,
     random_arrangement,
     random_unimodular_arrangement,
+    saturation_reference,
     subset_sweep_components,
+    unimodular_by_definition,
 )
 
 
@@ -126,6 +132,61 @@ def test_counts_against_torsion_grid():
         checked += 1
 
 
+def _full(comps):
+    """Components with the fields that take no part in comparisons."""
+    return [(c, c.dim, c.witness) for c in comps]
+
+
+def _system_kinds(a, b):
+    """The kinds of character system a test set must include."""
+    return Counter({"zero rows": a.rows == 0,
+                    "inconsistent": not intersect_system_reference(a, b),
+                    "torsion": any(d > 1 for d in snf(a).divisors()),
+                    "rank deficient": rank(a) < a.rows})
+
+
+def _assert_all_kinds(kinds, least):
+    assert min(kinds[k] for k in ("zero rows", "inconsistent", "torsion",
+                                  "rank deficient")) >= least, kinds
+
+
+def _random_system(rng):
+    l = rng.randint(1, 3)
+    k = rng.randint(0, 4)
+    a = IntMatrix.from_rows(
+        [[rng.randint(-2, 2) for _ in range(l)] for _ in range(k)], cols=l)
+    den = rng.choice((1, 2, 3, 4, 6))
+    # values outside [0, 1) too: both sides reduce them mod 1
+    b = tuple(Fraction(rng.randint(-den, 2 * den), den) for _ in range(k))
+    return a, b
+
+
+def test_intersect_system_matches_reference_random():
+    rng = random.Random(61)
+    kinds = Counter()
+    for _ in range(600):
+        a, b = _random_system(rng)
+        assert _full(intersect_system(a, b)) == _full(intersect_system_reference(a, b))
+        kinds += _system_kinds(a, b)
+    _assert_all_kinds(kinds, 20)
+
+
+def test_intersect_system_integer_values():
+    a = IntMatrix.from_rows([[1, 1], [1, -1]])
+    assert _full(intersect_system(a, (0, 1))) == _full(
+        intersect_system_reference(a, (Fraction(0), Fraction(0))))
+
+
+def test_saturation_matches_reference_random():
+    rng = random.Random(62)
+    for _ in range(300):
+        l = rng.randint(1, 4)
+        k = rng.randint(0, 5)
+        a = IntMatrix.from_rows(
+            [[rng.randint(-3, 3) for _ in range(l)] for _ in range(k)], cols=l)
+        assert saturation(a) == saturation_reference(a)
+
+
 # -- build_poset --------------------------------------------------------------------
 
 def test_poset_four_lines():
@@ -161,6 +222,39 @@ def test_poset_matches_subset_sweep():
     for _ in range(30):
         arr = random_arrangement(rng, max_l=3, max_n=4)
         assert set(build_poset(arr).components) == subset_sweep_components(arr)
+
+
+POSET_CORPUS = [
+    four_lines, two_curves,
+    lambda: weyl("A", 2), lambda: weyl("A", 3), lambda: weyl("A", 4),
+    lambda: weyl("A", 5), lambda: weyl("B", 3), lambda: weyl("B", 4),
+    lambda: weyl("C", 3), lambda: weyl("D", 4), lambda: weyl("G2", 2),
+    lambda: braid(3), lambda: braid(4), lambda: braid(5),
+]
+POSET_IDS = ["four_lines", "two_curves", "A2", "A3", "A4", "A5", "B3", "B4",
+             "C3", "D4", "G2", "braid3", "braid4", "braid5"]
+
+
+def _assert_poset_matches_reference(arr):
+    poset, ref = build_poset(arr), poset_reference(arr)
+    assert _full(poset.components) == _full(ref.components)
+    assert poset.strict_below == ref.strict_below
+    assert poset.covers() == covers_reference(ref)
+
+
+@pytest.mark.parametrize("make", POSET_CORPUS, ids=POSET_IDS)
+def test_poset_matches_reference(make):
+    _assert_poset_matches_reference(make())
+
+
+def test_poset_matches_reference_random():
+    rng = random.Random(63)
+    kinds = Counter()
+    for _ in range(200):
+        arr = random_arrangement(rng, max_l=3, max_n=6)
+        _assert_poset_matches_reference(arr)
+        kinds += _system_kinds(arr.char_matrix(), arr.b_vector())
+    _assert_all_kinds(kinds, 5)
 
 
 def test_poset_order_consistent_with_dimension():
@@ -214,8 +308,36 @@ def test_unimodular_generator_really_unimodular():
                 assert len(intersect_system(sub, tuple(bs[i] for i in subset))) <= 1
 
 
+# two curves in a 3-torus with an index-2 joint lattice: all 3x3 minors
+# vanish, but the intersection is disconnected
+RANK_DEFICIENT_DISCONNECTED = "torus 3\nhyp 1 1 0 @ 0/1\nhyp 1 -1 0 @ 0/1\n"
+
+
 def test_unimodular_rank_deficient_disconnected():
-    # two curves in a 3-torus with an index-2 joint lattice: all 3x3 minors
-    # vanish, but the intersection is disconnected
-    arr = parse("torus 3\nhyp 1 1 0 @ 0/1\nhyp 1 -1 0 @ 0/1\n")
+    arr = parse(RANK_DEFICIENT_DISCONNECTED)
     assert not is_unimodular(arr)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: braid(5),  # rank 4 in a 5-torus: the minor cross-check is skipped
+    lambda: parse(RANK_DEFICIENT_DISCONNECTED),
+    four_lines, two_curves, lambda: weyl("A", 3), lambda: weyl("B", 2),
+], ids=["braid5", "rank_deficient_disconnected", "four_lines", "two_curves",
+        "A3", "B2"])
+def test_is_unimodular_matches_definition(make):
+    arr = make()
+    assert is_unimodular(arr) == unimodular_by_definition(arr)
+
+
+def test_is_unimodular_matches_definition_random():
+    rng = random.Random(64)
+    verdicts = Counter()
+    for k in range(160):
+        if k % 4:
+            arr = random_arrangement(rng, max_l=3, max_n=5)
+        else:
+            arr = random_unimodular_arrangement(rng, max_n=5)
+        verdict = is_unimodular(arr)
+        assert verdict == unimodular_by_definition(arr)
+        verdicts[verdict] += 1
+    assert verdicts[True] >= 20 and verdicts[False] >= 20, verdicts
