@@ -123,21 +123,18 @@ def cmd_poset(args) -> int:
 
 def cmd_poincare(args) -> int:
     arr, digest = _load(args.file)
+    if args.method == "dcp" and args.ordering is not None:
+        raise ValueError("--ordering only applies to --method=dr")
+    ordering = None if args.ordering is None else _parse_ordering(args.ordering, arr.n)
+    if args.method == "dr" and ordering is None:
+        ordering = find_dr_ordering(arr).ordering
     _header("poincare", args.file, digest)
     _emit("method", args.method)
     if args.method == "dcp":
-        if args.ordering is not None:
-            raise ValueError("--ordering only applies to --method=dr")
         _emit("poincare", _poly_str(dcp_poincare(arr)))
         return EXIT_OK
-    if args.ordering is not None:
-        ordering = _parse_ordering(args.ordering, arr.n)
-    else:
-        report = find_dr_ordering(arr)
-        if report.ordering is None:
-            raise DrHypothesisError(
-                "no ordering satisfies the deletion-restriction condition")
-        ordering = report.ordering
+    if ordering is None:
+        raise DrHypothesisError("no ordering satisfies the deletion-restriction condition")
     _emit("ordering", _ordering_str(ordering))
     _emit("poincare", _poly_str(dr_poincare(arr, ordering)))
     return EXIT_OK

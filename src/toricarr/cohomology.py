@@ -3,10 +3,11 @@
 Two independent computations are provided.  ``dcp_poincare`` sums
 |mu(T, W)| t^codim(W) (1 + t)^dim(W) over the components W of the
 intersection poset, mu being its Mobius function from the full torus T.
-``dr_poincare`` runs the deletion-restriction recursion and is only valid
-when the per-step component-count condition holds along an ordering: step k
-counts the hypersurfaces of ``restrict(arr, ordering[k], ordering[:k])``,
-and there may be at most k.  It refuses otherwise rather than guessing.
+``dr_poincare`` runs the deletion-restriction recursion, valid only when the
+per-step component-count condition holds along an ordering (step k counts the
+hypersurfaces of ``restrict(arr, ordering[k], ordering[:k])``, at most k are
+allowed), and refuses otherwise.  It checks its ordering once; a restriction
+recurses along the ordering ``find_dr_ordering`` finds for it, once per call.
 """
 
 from __future__ import annotations
@@ -41,10 +42,15 @@ class DrReport:
 def _step_count(arr: ToricArrangement, cache: dict, i: int, prefix) -> int:
     """Number of hypersurfaces of ``restrict(arr, i, prefix).ambient``: the
     distinct components in the union of the traces of the prefix on K_i."""
-    sets = cache.get(i)
-    if sets is None:
-        sets = cache[i] = tuple(frozenset(t) for t in traces(arr, i))
-    return len(frozenset().union(*[sets[r] for r in prefix]))
+    if prefix and i not in cache:
+        cache[i] = tuple(frozenset(t) for t in traces(arr, i))
+    return len(frozenset().union(*[cache[i][r] for r in prefix]))
+
+
+def _report(arr: ToricArrangement, cache: dict, ordering: tuple[int, ...]) -> DrReport:
+    counts = tuple(_step_count(arr, cache, ordering[k], ordering[:k])
+                   for k in range(1, len(ordering)))
+    return DrReport(ordering, counts, all(c <= k for k, c in enumerate(counts, start=1)))
 
 
 def dr_condition_check(arr: ToricArrangement, ordering) -> DrReport:
@@ -57,49 +63,35 @@ def dr_condition_check(arr: ToricArrangement, ordering) -> DrReport:
     ordering = tuple(ordering)
     if sorted(ordering) != list(range(arr.n)):
         raise ValueError("ordering must be a permutation of the hypersurface indices")
-    cache: dict = {}
-    counts = tuple(_step_count(arr, cache, ordering[k], ordering[:k])
-                   for k in range(1, arr.n))
-    verdict = all(c <= k for k, c in enumerate(counts, start=1))
-    return DrReport(ordering, counts, verdict)
+    return _report(arr, {}, ordering)
 
 
 def find_dr_ordering(arr: ToricArrangement) -> DrReport:
-    """First ordering (lexicographic, depth-first with prefix pruning) that
-    passes the deletion-restriction condition, or a failed report."""
+    """Lexicographically first ordering that passes the deletion-restriction
+    condition, or a failed report.  Depth-first over prefixes; the step test
+    depends on a prefix only as a set (``members``, a bitmask), so a set found
+    to have no passing completion is not expanded again: at most 2^n are."""
     n = arr.n
     if n > 12:
-        raise ValueError("ordering search is factorial; limited to n <= 12")
+        raise ValueError("ordering search is exponential in n; limited to n <= 12")
     cache: dict = {}
-    chosen: list[int] = []
-    counts: list[int] = []
-    used = [False] * n
+    dead: set[int] = set()
 
-    def dfs() -> bool:
-        pos = len(chosen)
-        if pos == n:
-            return True
+    def extend(prefix: tuple[int, ...], members: int) -> tuple[int, ...] | None:
+        if len(prefix) == n:
+            return prefix
+        if members in dead:
+            return None
         for cand in range(n):
-            if used[cand]:
-                continue
-            if pos:
-                count = _step_count(arr, cache, cand, chosen)
-                if count > pos:
-                    continue
-                counts.append(count)
-            chosen.append(cand)
-            used[cand] = True
-            if dfs():
-                return True
-            used[cand] = False
-            chosen.pop()
-            if pos:
-                counts.pop()
-        return False
+            if not members >> cand & 1 and _step_count(arr, cache, cand, prefix) <= len(prefix):
+                found = extend(prefix + (cand,), members | 1 << cand)
+                if found is not None:
+                    return found
+        dead.add(members)
+        return None
 
-    if dfs():
-        return DrReport(tuple(chosen), tuple(counts), True)
-    return DrReport(None, (), False)
+    ordering = extend((), 0)
+    return DrReport(None, (), False) if ordering is None else _report(arr, cache, ordering)
 
 
 def dcp_poincare(arr: ToricArrangement) -> Polynomial:
@@ -118,7 +110,7 @@ def dr_poincare(arr: ToricArrangement, ordering) -> Polynomial:
     Refuses (raises :class:`DrHypothesisError`) if the given ordering fails
     the component-count condition, or if some restricted arrangement admits
     no passing ordering of its own; the recursion is unjustified in either
-    case.
+    case.  Restrictions met again within the call reuse their polynomial.
     """
     report = dr_condition_check(arr, ordering)
     if not report.verdict:
@@ -127,16 +119,22 @@ def dr_poincare(arr: ToricArrangement, ordering) -> Polynomial:
             f"ordering {tuple(x + 1 for x in report.ordering)} cuts "
             f"{report.step_counts[bad]} components at step {bad + 2}; "
             "the deletion-restriction recursion does not apply")
-    total = Polynomial.binomial(arr.dim)
-    for pos, idx in enumerate(report.ordering):
-        sub = restrict(arr, idx, report.ordering[:pos]).ambient
-        sub_report = find_dr_ordering(sub)
-        if sub_report.ordering is None:
-            raise DrHypothesisError(
-                f"restriction to hypersurface {idx + 1} admits no "
-                "deletion-restriction ordering")
-        total = total + dr_poincare(sub, sub_report.ordering).shift(1)
-    return total
+    memo: dict[ToricArrangement, Polynomial] = {}
+
+    def recurse(arr: ToricArrangement, ordering: tuple[int, ...]) -> Polynomial:
+        total = Polynomial.binomial(arr.dim)
+        for pos, idx in enumerate(ordering):
+            sub = restrict(arr, idx, ordering[:pos]).ambient
+            if sub not in memo:
+                sub_report = find_dr_ordering(sub)
+                if sub_report.ordering is None:
+                    raise DrHypothesisError(f"restriction to hypersurface {idx + 1} admits no "
+                                            "deletion-restriction ordering")
+                memo[sub] = recurse(sub, sub_report.ordering)
+            total = total + memo[sub].shift(1)
+        return total
+
+    return recurse(arr, report.ordering)
 
 
 def betti(arr: ToricArrangement) -> tuple[int, ...]:

@@ -7,7 +7,8 @@ from math import gcd, lcm
 
 import numpy as np
 
-from toricarr.arrangement import Hypersurface, ToricArrangement, mod1, parse
+from toricarr.arrangement import Hypersurface, ToricArrangement, mod1, parse, restrict, traces
+from toricarr.cohomology import DrHypothesisError, DrReport, dr_condition_check
 from toricarr.forms import eval_generator, wedge_monomials
 from toricarr.hyperplane import top_local_multiplicity
 from toricarr.lattice import IntMatrix, left_kernel, snf
@@ -101,6 +102,73 @@ def pair_step_counts(arr, ordering):
             labels |= _pair_labels(hr, hyps[k])
         counts.append(len(labels))
     return tuple(counts)
+
+
+def _step_count_reference(arr, cache, i, prefix):
+    sets = cache.get(i)
+    if sets is None:
+        sets = cache[i] = tuple(frozenset(t) for t in traces(arr, i))
+    return len(frozenset().union(*[sets[r] for r in prefix]))
+
+
+def find_dr_ordering_reference(arr):
+    """First passing ordering by the plain depth-first search over
+    permutations, pruning only prefixes whose last step fails."""
+    n = arr.n
+    if n > 12:
+        raise ValueError("ordering search is factorial; limited to n <= 12")
+    cache: dict = {}
+    chosen: list[int] = []
+    counts: list[int] = []
+    used = [False] * n
+
+    def dfs() -> bool:
+        pos = len(chosen)
+        if pos == n:
+            return True
+        for cand in range(n):
+            if used[cand]:
+                continue
+            if pos:
+                count = _step_count_reference(arr, cache, cand, chosen)
+                if count > pos:
+                    continue
+                counts.append(count)
+            chosen.append(cand)
+            used[cand] = True
+            if dfs():
+                return True
+            used[cand] = False
+            chosen.pop()
+            if pos:
+                counts.pop()
+        return False
+
+    if dfs():
+        return DrReport(tuple(chosen), tuple(counts), True)
+    return DrReport(None, (), False)
+
+
+def dr_poincare_reference(arr, ordering):
+    """Deletion-restriction recursion with no memo: every restriction is
+    searched and its ordering checked again, at every occurrence."""
+    report = dr_condition_check(arr, ordering)
+    if not report.verdict:
+        bad = next(k for k, c in enumerate(report.step_counts) if c > k + 1)
+        raise DrHypothesisError(
+            f"ordering {tuple(x + 1 for x in report.ordering)} cuts "
+            f"{report.step_counts[bad]} components at step {bad + 2}; "
+            "the deletion-restriction recursion does not apply")
+    total = Polynomial.binomial(arr.dim)
+    for pos, idx in enumerate(report.ordering):
+        sub = restrict(arr, idx, report.ordering[:pos]).ambient
+        sub_report = find_dr_ordering_reference(sub)
+        if sub_report.ordering is None:
+            raise DrHypothesisError(
+                f"restriction to hypersurface {idx + 1} admits no "
+                "deletion-restriction ordering")
+        total = total + dr_poincare_reference(sub, sub_report.ordering).shift(1)
+    return total
 
 
 def subset_sweep_components(arr):

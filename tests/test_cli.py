@@ -122,10 +122,27 @@ def test_poincare_dr_refusal_exit_2(workdir, capsys):
 
 def test_poincare_dr_bad_ordering_refused(workdir, capsys):
     # the reversed ordering starts with the two hypersurfaces meeting twice
-    code, _, err = run(capsys, "poincare", "--method=dr", "--ordering=4,3,2,1",
-                       "four_lines.txt")
+    code, out, err = run(capsys, "poincare", "--method=dr", "--ordering=4,3,2,1",
+                         "four_lines.txt")
     assert code == 2
     assert "refused" in err
+    assert out.endswith("method: dr\nordering: 4,3,2,1\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("--method=dcp", "--ordering=1,2,3,4", "four_lines.txt"),
+    ("--method=dr", "--ordering=1,2,3", "four_lines.txt"),
+    ("--method=dr", "--ordering=1,x,3,4", "four_lines.txt"),
+    ("--method=dr", "thirteen.txt"),
+])
+def test_poincare_usage_errors_leave_stdout_empty(workdir, capsys, argv):
+    # thirteen points in C*: past the n <= 12 limit of the ordering search
+    (workdir / "thirteen.txt").write_text(
+        "torus 1\n" + "".join(f"hyp 1 @ {k}/13\n" for k in range(13)))
+    code, out, err = run(capsys, "poincare", *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("toricarr: ")
 
 
 def test_unimodular_golden(workdir, capsys):

@@ -14,7 +14,13 @@ from toricarr.cohomology import (
 )
 from toricarr.polynomial import Polynomial
 
-from oracles import pair_step_counts, random_arrangement, random_unimodular_arrangement
+from oracles import (
+    dr_poincare_reference,
+    find_dr_ordering_reference,
+    pair_step_counts,
+    random_arrangement,
+    random_unimodular_arrangement,
+)
 
 
 def four_lines():
@@ -118,6 +124,33 @@ def test_dr_refuses_two_curves():
     for ordering in permutations(range(2)):
         with pytest.raises(DrHypothesisError):
             dr_poincare(arr, ordering)
+
+
+def _outcome(poincare, arr, ordering):
+    try:
+        return poincare(arr, ordering)
+    except (DrHypothesisError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def test_dr_layer_matches_reference():
+    """The dead-set search and the memoized recursion agree with the plain
+    search and the unmemoized, re-checking recursion: same ordering, counts
+    and verdict, and the same polynomial or refusal along the found and the
+    identity ordering."""
+    rng = random.Random(0)
+    arrs = [random_arrangement(rng, max_l=4, max_n=8) for _ in range(300)]
+    arrs += [weyl("A", 4), weyl("B", 3), weyl("C", 3), weyl("D", 4), weyl("G2", 2), braid(5)]
+    non_dr = refusals = 0
+    for arr in arrs:
+        expected = find_dr_ordering_reference(arr)
+        assert find_dr_ordering(arr) == expected
+        non_dr += expected.ordering is None
+        for ordering in {expected.ordering, tuple(range(arr.n))} - {None}:
+            result = _outcome(dr_poincare, arr, ordering)
+            assert result == _outcome(dr_poincare_reference, arr, ordering)
+            refusals += isinstance(result, tuple)
+    assert non_dr >= 100 and refusals >= 100
 
 
 # -- betti and method agreement -------------------------------------------------------
