@@ -7,11 +7,10 @@ recovers the degree-2 relations among the logarithmic 1-form generators of
 the cohomology of the complement.
 """
 
-from .lattice import IntMatrix, hnf, snf, left_kernel, saturation, is_unimodular_matrix, is_primitive
+from .lattice import IntMatrix, hnf, snf, left_kernel, saturation, is_primitive
 from .arrangement import (
     Hypersurface,
     ToricArrangement,
-    RestrictedArrangement,
     ParseError,
     parse,
     serialize,

@@ -8,6 +8,10 @@ arithmetic mod 1 (log coordinates).
 
 ``(chi, b)`` and ``(-chi, -b mod 1)`` cut out the same set; hypersurfaces are
 normalized to the representative whose first nonzero exponent is positive.
+
+Restriction to a hypersurface K_i yields a ``ToricArrangement`` in a torus of
+one dimension less: :func:`traces` gives the components each hypersurface
+cuts on K_i, and :func:`restrict` their ordered union over a prefix.
 """
 
 from __future__ import annotations
@@ -88,20 +92,6 @@ class ToricArrangement:
 
     def b_vector(self) -> tuple[Fraction, ...]:
         return tuple(h.b for h in self.hypersurfaces)
-
-
-@dataclass(frozen=True)
-class RestrictedArrangement:
-    """Trace of an arrangement on one of its hypersurfaces.
-
-    ``ambient`` lives in a torus of one dimension less.  ``origin_map[k]``
-    lists, for restricted hypersurface k, the pairs (parent index, component
-    index) of every connected component of a parent intersection that was
-    identified with it.
-    """
-
-    ambient: ToricArrangement
-    origin_map: tuple[tuple[tuple[int, int], ...], ...]
 
 
 # -- text format ---------------------------------------------------------------
@@ -330,24 +320,24 @@ def traces(arr: ToricArrangement, i: int) -> tuple[tuple[Hypersurface, ...], ...
     return tuple(_trace(arr, i, v, r) for r in range(arr.n))
 
 
-def restrict(arr: ToricArrangement, i: int, prefix) -> RestrictedArrangement:
+def _union(trace, prefix) -> tuple[Hypersurface, ...]:
+    """Each component of ``trace[r]`` over r in ``prefix`` once, in order of
+    first occurrence over ``sorted(prefix)``."""
+    return tuple(dict.fromkeys(h for r in sorted(prefix) for h in trace[r]))
+
+
+def restrict(arr: ToricArrangement, i: int, prefix) -> ToricArrangement:
     """Arrangement traced on hypersurface ``i`` by the hypersurfaces in ``prefix``.
 
-    The union of ``traces(arr, i)[r]`` over r in prefix, computing only
-    those traces: coincident components are deduplicated with all their
-    parents recorded in ``origin_map``.  Indices are 0-based.
+    The torus K_i of dimension ``dim - 1`` with the union of
+    ``traces(arr, i)[r]`` over r in ``prefix``: each component once, in order
+    of first occurrence over the sorted prefix.  Indices are 0-based.
     """
-    prefix = sorted(set(prefix))
+    prefix = set(prefix)
     if not 0 <= i < arr.n:
         raise ValueError(f"hypersurface index {i} out of range")
     if i in prefix:
         raise ValueError(f"index {i} appears in its own prefix")
     if any(not 0 <= r < arr.n for r in prefix):
         raise ValueError("prefix index out of range")
-    v = _completion_to_basis(arr.hypersurfaces[i].chi)
-    origins: dict[Hypersurface, list[tuple[int, int]]] = {}
-    for r in prefix:
-        for t, h in enumerate(_trace(arr, i, v, r)):
-            origins.setdefault(h, []).append((r, t))
-    ambient = ToricArrangement(arr.dim - 1, tuple(origins))
-    return RestrictedArrangement(ambient, tuple(tuple(o) for o in origins.values()))
+    return ToricArrangement(arr.dim - 1, _union(traces(arr, i), prefix))

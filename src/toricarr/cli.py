@@ -126,17 +126,25 @@ def cmd_poincare(args) -> int:
     if args.method == "dcp" and args.ordering is not None:
         raise ValueError("--ordering only applies to --method=dr")
     ordering = None if args.ordering is None else _parse_ordering(args.ordering, arr.n)
-    if args.method == "dr" and ordering is None:
-        ordering = find_dr_ordering(arr).ordering
+    if args.method == "dcp":
+        result = dcp_poincare(arr)
+    else:
+        if ordering is None:
+            ordering = find_dr_ordering(arr).ordering
+        result = DrHypothesisError("no ordering satisfies the deletion-restriction condition")
+        if ordering is not None:
+            try:
+                result = dr_poincare(arr, ordering)
+            except DrHypothesisError as exc:
+                result = exc
+    # a refusal (exit 2) still reports the method and the ordering it refused
     _header("poincare", args.file, digest)
     _emit("method", args.method)
-    if args.method == "dcp":
-        _emit("poincare", _poly_str(dcp_poincare(arr)))
-        return EXIT_OK
-    if ordering is None:
-        raise DrHypothesisError("no ordering satisfies the deletion-restriction condition")
-    _emit("ordering", _ordering_str(ordering))
-    _emit("poincare", _poly_str(dr_poincare(arr, ordering)))
+    if ordering is not None:
+        _emit("ordering", _ordering_str(ordering))
+    if isinstance(result, DrHypothesisError):
+        raise result
+    _emit("poincare", _poly_str(result))
     return EXIT_OK
 
 

@@ -6,15 +6,21 @@ intersection poset, mu being its Mobius function from the full torus T.
 ``dr_poincare`` runs the deletion-restriction recursion, valid only when the
 per-step component-count condition holds along an ordering (step k counts the
 hypersurfaces of ``restrict(arr, ordering[k], ordering[:k])``, at most k are
-allowed), and refuses otherwise.  It checks its ordering once; a restriction
-recurses along the ordering ``find_dr_ordering`` finds for it, once per call.
+allowed), and refuses otherwise.
+
+Within one public call, each arrangement has one table of its traces, built
+per hypersurface on first use, with each trace also held as a bitmask over
+the distinct components on that hypersurface; a step count is the popcount
+of an OR.  The ordering check, the search and the restrictions the recursion
+builds all read that table.  A restriction recurses along the ordering its
+own search found, with the table that search filled, once per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arrangement import ToricArrangement, restrict, traces
+from .arrangement import ToricArrangement, _union, traces
 from .polynomial import Polynomial
 from .poset import build_poset
 
@@ -39,16 +45,34 @@ class DrReport:
     verdict: bool
 
 
-def _step_count(arr: ToricArrangement, cache: dict, i: int, prefix) -> int:
-    """Number of hypersurfaces of ``restrict(arr, i, prefix).ambient``: the
-    distinct components in the union of the traces of the prefix on K_i."""
-    if prefix and i not in cache:
-        cache[i] = tuple(frozenset(t) for t in traces(arr, i))
-    return len(frozenset().union(*[cache[i][r] for r in prefix]))
+def _entry(arr: ToricArrangement, table: dict, i: int):
+    """``traces(arr, i)`` and each trace as a bitmask over the distinct
+    components on K_i, built on first use."""
+    if i not in table:
+        trace = traces(arr, i)
+        bit: dict = {}
+        table[i] = trace, tuple(sum(1 << bit.setdefault(h, len(bit)) for h in t) for t in trace)
+    return table[i]
 
 
-def _report(arr: ToricArrangement, cache: dict, ordering: tuple[int, ...]) -> DrReport:
-    counts = tuple(_step_count(arr, cache, ordering[k], ordering[:k])
+def _step_count(arr: ToricArrangement, table: dict, i: int, prefix) -> int:
+    """Number of hypersurfaces of ``restrict(arr, i, prefix)``: the distinct
+    components in the union of the traces of the prefix on K_i."""
+    if not prefix:
+        return 0
+    masks = _entry(arr, table, i)[1]
+    union = 0
+    for r in prefix:
+        union |= masks[r]
+    return union.bit_count()
+
+
+def _check(arr: ToricArrangement, table: dict, ordering) -> DrReport:
+    """:func:`dr_condition_check` reading and filling ``table``."""
+    ordering = tuple(ordering)
+    if sorted(ordering) != list(range(arr.n)):
+        raise ValueError("ordering must be a permutation of the hypersurface indices")
+    counts = tuple(_step_count(arr, table, ordering[k], ordering[:k])
                    for k in range(1, len(ordering)))
     return DrReport(ordering, counts, all(c <= k for k, c in enumerate(counts, start=1)))
 
@@ -60,21 +84,14 @@ def dr_condition_check(arr: ToricArrangement, ordering) -> DrReport:
     ``restrict(arr, ordering[k], ordering[:k])`` must have at most k
     hypersurfaces.
     """
-    ordering = tuple(ordering)
-    if sorted(ordering) != list(range(arr.n)):
-        raise ValueError("ordering must be a permutation of the hypersurface indices")
-    return _report(arr, {}, ordering)
+    return _check(arr, {}, ordering)
 
 
-def find_dr_ordering(arr: ToricArrangement) -> DrReport:
-    """Lexicographically first ordering that passes the deletion-restriction
-    condition, or a failed report.  Depth-first over prefixes; the step test
-    depends on a prefix only as a set (``members``, a bitmask), so a set found
-    to have no passing completion is not expanded again: at most 2^n are."""
+def _search(arr: ToricArrangement, table: dict) -> tuple[int, ...] | None:
+    """Lexicographically first passing ordering, or None; fills ``table``."""
     n = arr.n
     if n > 12:
         raise ValueError("ordering search is exponential in n; limited to n <= 12")
-    cache: dict = {}
     dead: set[int] = set()
 
     def extend(prefix: tuple[int, ...], members: int) -> tuple[int, ...] | None:
@@ -83,15 +100,24 @@ def find_dr_ordering(arr: ToricArrangement) -> DrReport:
         if members in dead:
             return None
         for cand in range(n):
-            if not members >> cand & 1 and _step_count(arr, cache, cand, prefix) <= len(prefix):
+            if not members >> cand & 1 and _step_count(arr, table, cand, prefix) <= len(prefix):
                 found = extend(prefix + (cand,), members | 1 << cand)
                 if found is not None:
                     return found
         dead.add(members)
         return None
 
-    ordering = extend((), 0)
-    return DrReport(None, (), False) if ordering is None else _report(arr, cache, ordering)
+    return extend((), 0)
+
+
+def find_dr_ordering(arr: ToricArrangement) -> DrReport:
+    """Lexicographically first ordering that passes the deletion-restriction
+    condition, or a failed report.  Depth-first over prefixes; the step test
+    depends on a prefix only as a set (``members``, a bitmask), so a set found
+    to have no passing completion is not expanded again: at most 2^n are."""
+    table: dict = {}
+    ordering = _search(arr, table)
+    return DrReport(None, (), False) if ordering is None else _check(arr, table, ordering)
 
 
 def dcp_poincare(arr: ToricArrangement) -> Polynomial:
@@ -112,7 +138,8 @@ def dr_poincare(arr: ToricArrangement, ordering) -> Polynomial:
     no passing ordering of its own; the recursion is unjustified in either
     case.  Restrictions met again within the call reuse their polynomial.
     """
-    report = dr_condition_check(arr, ordering)
+    table: dict = {}
+    report = _check(arr, table, ordering)
     if not report.verdict:
         bad = next(k for k, c in enumerate(report.step_counts) if c > k + 1)
         raise DrHypothesisError(
@@ -121,20 +148,23 @@ def dr_poincare(arr: ToricArrangement, ordering) -> Polynomial:
             "the deletion-restriction recursion does not apply")
     memo: dict[ToricArrangement, Polynomial] = {}
 
-    def recurse(arr: ToricArrangement, ordering: tuple[int, ...]) -> Polynomial:
+    def recurse(arr: ToricArrangement, table: dict, ordering: tuple[int, ...]) -> Polynomial:
         total = Polynomial.binomial(arr.dim)
         for pos, idx in enumerate(ordering):
-            sub = restrict(arr, idx, ordering[:pos]).ambient
+            # the first hypersurface has no predecessors: no traces needed
+            hyps = _union(_entry(arr, table, idx)[0], ordering[:pos]) if pos else ()
+            sub = ToricArrangement(arr.dim - 1, hyps)
             if sub not in memo:
-                sub_report = find_dr_ordering(sub)
-                if sub_report.ordering is None:
+                sub_table: dict = {}
+                sub_ordering = _search(sub, sub_table)
+                if sub_ordering is None:
                     raise DrHypothesisError(f"restriction to hypersurface {idx + 1} admits no "
                                             "deletion-restriction ordering")
-                memo[sub] = recurse(sub, sub_report.ordering)
+                memo[sub] = recurse(sub, sub_table, sub_ordering)
             total = total + memo[sub].shift(1)
         return total
 
-    return recurse(arr, report.ordering)
+    return recurse(arr, table, report.ordering)
 
 
 def betti(arr: ToricArrangement) -> tuple[int, ...]:

@@ -1,5 +1,5 @@
 """Exact integer matrix algebra: Hermite and Smith normal forms, kernels,
-saturation, unimodularity.
+saturation, primitivity.
 
 Everything here runs on Python's arbitrary-precision integers.  Matrices are
 immutable (hashable) so they can serve as canonical labels elsewhere in the
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import gcd
 
 
@@ -331,43 +330,6 @@ def saturation_from_snf(a: IntMatrix, res: SNFResult) -> IntMatrix:
     rows = tuple(tuple(sum(x * y for x, y in zip(u, col)) // di for col in zip(*a.entries))
                  for u, di in zip(res.U.entries, d))
     return row_basis(IntMatrix(len(d), a.cols, rows))
-
-
-def det(a: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    if a.rows != a.cols:
-        raise ValueError("determinant of a non-square matrix")
-    n = a.rows
-    if n == 0:
-        return 1
-    M = [list(r) for r in a.entries]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if M[i][k]), None)
-            if swap is None:
-                return 0
-            M[k], M[swap] = M[swap], M[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = M[k][k]
-    return sign * M[n - 1][n - 1]
-
-
-def is_unimodular_matrix(a: IntMatrix) -> bool:
-    """True iff every maximal (cols x cols) minor of ``a`` lies in {-1, 0, 1}."""
-    k = a.cols
-    if a.rows < k:
-        return True
-    for rows in combinations(range(a.rows), k):
-        sub = IntMatrix(k, k, tuple(a.entries[i] for i in rows))
-        if abs(det(sub)) > 1:
-            return False
-    return True
 
 
 def is_primitive(v) -> bool:

@@ -22,17 +22,8 @@ from itertools import combinations, product
 from math import lcm, prod
 
 from .arrangement import Hypersurface, ToricArrangement, mod1
-from .lattice import (IntMatrix, in_row_lattice, is_unimodular_matrix, rank,
-                      saturation_from_snf, snf)
+from .lattice import IntMatrix, in_row_lattice, saturation_from_snf, snf
 from .polynomial import Polynomial
-
-
-class UnimodularityMismatch(RuntimeError):
-    """The subset-connectivity and maximal-minor unimodularity tests disagree.
-
-    For a full-rank character matrix the two conditions are equivalent, so a
-    mismatch means the implementation is defective.
-    """
 
 
 def _dot(ints, fracs) -> Fraction:
@@ -245,25 +236,14 @@ def is_unimodular(arr: ToricArrangement) -> bool:
     saturated lattice as a maximal independent subset of itself.  A subset
     system has no component when inconsistent and otherwise as many as the
     product of its Smith divisors, so the components are counted, not
-    built.  When the character matrix has full rank the verdict is
-    cross-checked against the maximal-minor criterion; disagreement raises
-    :class:`UnimodularityMismatch`.
+    built.
     """
     chars = arr.char_matrix()
     bs = arr.b_vector()
-    verdict = True
     for size in range(1, min(arr.n, arr.dim) + 1):
         for subset in combinations(range(arr.n), size):
             sub = IntMatrix(size, arr.dim, tuple(chars.entries[i] for i in subset))
             solved = _smith_solve(sub, tuple(bs[i] for i in subset))
-            if (0 if solved is None else prod(solved[1])) > 1:
-                verdict = False
-                break
-        if not verdict:
-            break
-    if rank(chars) == arr.dim:
-        if verdict != is_unimodular_matrix(chars):
-            raise UnimodularityMismatch(
-                "subset-connectivity and minor tests disagree on a full-rank "
-                f"character matrix {chars.entries}")
-    return verdict
+            if solved is not None and prod(solved[1]) > 1:
+                return False
+    return True

@@ -161,7 +161,7 @@ def dr_poincare_reference(arr, ordering):
             "the deletion-restriction recursion does not apply")
     total = Polynomial.binomial(arr.dim)
     for pos, idx in enumerate(report.ordering):
-        sub = restrict(arr, idx, report.ordering[:pos]).ambient
+        sub = restrict(arr, idx, report.ordering[:pos])
         sub_report = find_dr_ordering_reference(sub)
         if sub_report.ordering is None:
             raise DrHypothesisError(
@@ -300,6 +300,43 @@ def unimodular_by_definition(arr):
             sub = IntMatrix(size, arr.dim, tuple(chars.entries[i] for i in subset))
             if len(intersect_system_reference(sub, tuple(bs[i] for i in subset))) > 1:
                 return False
+    return True
+
+
+def det(a: IntMatrix) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    if a.rows != a.cols:
+        raise ValueError("determinant of a non-square matrix")
+    n = a.rows
+    if n == 0:
+        return 1
+    M = [list(r) for r in a.entries]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if M[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if M[i][k]), None)
+            if swap is None:
+                return 0
+            M[k], M[swap] = M[swap], M[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
+            M[i][k] = 0
+        prev = M[k][k]
+    return sign * M[n - 1][n - 1]
+
+
+def is_unimodular_matrix(a: IntMatrix) -> bool:
+    """True iff every maximal (cols x cols) minor of ``a`` lies in {-1, 0, 1}."""
+    k = a.cols
+    if a.rows < k:
+        return True
+    for rows in combinations(range(a.rows), k):
+        sub = IntMatrix(k, k, tuple(a.entries[i] for i in rows))
+        if abs(det(sub)) > 1:
+            return False
     return True
 
 

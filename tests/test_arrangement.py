@@ -177,26 +177,24 @@ def test_positive_roots_primitive():
 
 def test_restrict_four_lines_last():
     arr = four_lines()
-    res = restrict(arr, 3, {0, 1, 2})
-    amb = res.ambient
+    amb = restrict(arr, 3, {0, 1, 2})
     assert amb.dim == 1
     assert {(h.chi, h.b) for h in amb.hypersurfaces} == {
         ((1,), Fraction(0)), ((1,), Fraction(1, 2))}
     # the point w = 1 is cut by all three predecessors, w = -1 only by the third
-    by_b = {amb.hypersurfaces[k].b: res.origin_map[k] for k in range(2)}
-    assert sorted(r for r, _ in by_b[Fraction(0)]) == [0, 1, 2]
-    assert sorted(r for r, _ in by_b[Fraction(1, 2)]) == [2]
+    trace = traces(arr, 3)
+    by_b = {h.b: [r for r in range(3) if h in trace[r]] for h in amb.hypersurfaces}
+    assert by_b == {Fraction(0): [0, 1, 2], Fraction(1, 2): [2]}
 
 
 def test_restrict_empty_prefix():
     arr = four_lines()
-    res = restrict(arr, 0, set())
-    assert res.ambient.dim == 1 and res.ambient.n == 0
+    amb = restrict(arr, 0, set())
+    assert amb.dim == 1 and amb.n == 0
 
 
 def test_restrict_disconnected_trace():
-    res = restrict(two_curves(), 1, {0})
-    amb = res.ambient
+    amb = restrict(two_curves(), 1, {0})
     assert amb.dim == 1 and amb.n == 3
     assert {h.b for h in amb.hypersurfaces} == {
         Fraction(0), Fraction(1, 3), Fraction(2, 3)}
@@ -211,8 +209,8 @@ def test_traces_entries():
 
 
 def test_restrict_is_union_of_traces():
-    """restrict builds only the prefix's traces; its ambient and origin_map,
-    order included, are the union of ``traces(arr, i)`` over the prefix."""
+    """restrict is the union of ``traces(arr, i)`` over the prefix: each
+    component once, in order of first occurrence over the sorted prefix."""
     rng = random.Random(18)
     arrs = [random_arrangement(rng, max_l=4, max_n=6) for _ in range(60)]
     arrs += [four_lines(), two_curves(), weyl("G2", 2), weyl("B", 3), braid(4)]
@@ -221,13 +219,10 @@ def test_restrict_is_union_of_traces():
             prefix = [r for r in range(arr.n) if r != i and rng.random() < 0.6]
             rng.shuffle(prefix)
             trace = traces(arr, i)
-            origins = {}
+            union = []
             for r in sorted(prefix):
-                for t, h in enumerate(trace[r]):
-                    origins.setdefault(h, []).append((r, t))
-            res = restrict(arr, i, prefix)
-            assert res.ambient == ToricArrangement(arr.dim - 1, tuple(origins))
-            assert res.origin_map == tuple(tuple(o) for o in origins.values())
+                union += [h for h in trace[r] if h not in union]
+            assert restrict(arr, i, prefix) == ToricArrangement(arr.dim - 1, tuple(union))
 
 
 def test_restrict_errors():
@@ -249,11 +244,11 @@ def test_restrict_output_primitive_and_counts():
         i = rng.randrange(arr.n)
         prefix = [r for r in range(arr.n) if r != i and rng.random() < 0.7]
         res = restrict(arr, i, prefix)
-        assert res.ambient.dim == arr.dim - 1
-        for h in res.ambient.hypersurfaces:
+        assert res.dim == arr.dim - 1
+        for h in res.hypersurfaces:
             assert is_primitive(h.chi)
         counts = pair_step_counts(arr, (*prefix, i))
-        assert res.ambient.n == (counts[-1] if prefix else 0)
+        assert res.n == (counts[-1] if prefix else 0)
 
 
 def test_weyl_a_matches_braid_layers():

@@ -145,6 +145,19 @@ def test_poincare_usage_errors_leave_stdout_empty(workdir, capsys, argv):
     assert err.startswith("toricarr: ")
 
 
+def test_poincare_restriction_past_search_limit_leaves_stdout_empty(workdir, capsys):
+    # thirteen parallel curves z2 = exp(2 pi i p/13), then z1 = 1: the ordering
+    # passes (13 points at step 14), but the restriction to z1 = 1 has
+    # thirteen points, past the n <= 12 limit of its own ordering search
+    (workdir / "comb.txt").write_text(
+        "torus 2\n" + "".join(f"hyp 0 1 @ {p}/13\n" for p in range(13)) + "hyp 1 0 @ 0/1\n")
+    code, out, err = run(capsys, "poincare", "--method=dr",
+                         "--ordering=" + ",".join(str(k) for k in range(1, 15)), "comb.txt")
+    assert code == 1
+    assert out == ""
+    assert "n <= 12" in err
+
+
 def test_unimodular_golden(workdir, capsys):
     code, out, _ = run(capsys, "unimodular", "four_lines.txt")
     assert code == 0

@@ -1,5 +1,6 @@
 import random
 from itertools import permutations
+from math import factorial
 
 import pytest
 
@@ -153,6 +154,25 @@ def test_dr_layer_matches_reference():
     assert non_dr >= 100 and refusals >= 100
 
 
+def test_dr_along_shuffled_orderings_matches_reference():
+    """Along passing orderings in no sorted order, the recursion restricts to
+    ``restrict(arr, i, prefix)``, the union over the sorted prefix: the nested
+    searches, and so the polynomials and refusals, agree with the reference."""
+    rng = random.Random(3)
+    cases = refusals = 0
+    for _ in range(300):
+        arr = random_arrangement(rng, max_l=5, max_n=8)
+        for _ in range(3):
+            ordering = tuple(rng.sample(range(arr.n), arr.n))
+            if not dr_condition_check(arr, ordering).verdict:
+                continue
+            result = _outcome(dr_poincare, arr, ordering)
+            assert result == _outcome(dr_poincare_reference, arr, ordering)
+            cases += 1
+            refusals += isinstance(result, tuple)
+    assert cases >= 400 and refusals >= 50
+
+
 # -- betti and method agreement -------------------------------------------------------
 
 def test_betti_examples():
@@ -232,13 +252,43 @@ def test_weyl_a2_poincare():
 
 def test_braid_product_formula():
     """Configuration spaces of points in C*: Poin(braid(l)) = prod (1 + kt)."""
-    for l in (2, 3, 4):
+    for l in (2, 3, 4, 5, 6):
         expected = Polynomial((1,))
         for k in range(1, l + 1):
             expected = expected * Polynomial((1, k))
-        assert dcp_poincare(braid(l)) == expected
+        arr = braid(l)
+        assert dcp_poincare(arr) == expected
         # the type-A Weyl arrangement is the essential quotient
         assert Polynomial((1, 1)) * dcp_poincare(weyl("A", l - 1)) == expected
+        if l >= 5:
+            # braid(6) has 15 hypersurfaces, past the search limit: identity ordering
+            ordering = find_dr_ordering(arr).ordering if l == 5 else tuple(range(arr.n))
+            assert dr_poincare(arr, ordering) == expected
+
+
+# order of the Weyl group, and index of connection (determinant of the Cartan matrix)
+_WEYL_ORDER = {"A": lambda r: factorial(r + 1), "B": lambda r: 2 ** r * factorial(r),
+               "C": lambda r: 2 ** r * factorial(r), "D": lambda r: 2 ** (r - 1) * factorial(r),
+               "G2": lambda r: 12}
+_CONNECTION_INDEX = {"A": lambda r: r + 1, "B": lambda r: 2, "C": lambda r: 2,
+                     "D": lambda r: 4, "G2": lambda r: 1}
+
+
+@pytest.mark.parametrize("family, rank_", [
+    ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("B", 2), ("B", 3), ("B", 4),
+    ("C", 3), ("C", 4), ("D", 4), ("G2", 2)])
+def test_weyl_euler_characteristic(family, rank_):
+    """Toric Weyl arrangements: P(-1) = (-1)^l |W| / f, with W the Weyl
+    group and f the index of connection."""
+    arr = weyl(family, rank_)
+    expected = (-1) ** rank_ * _WEYL_ORDER[family](rank_) // _CONNECTION_INDEX[family](rank_)
+    polys = [dcp_poincare(arr)]
+    if arr.n <= 12:
+        rep = find_dr_ordering(arr)
+        if rep.ordering is not None:
+            polys.append(dr_poincare(arr, rep.ordering))
+    for poly in polys:
+        assert sum((-1) ** k * c for k, c in enumerate(poly.coefficients)) == expected
 
 
 def test_torsion_constants_fixture():

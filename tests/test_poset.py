@@ -18,6 +18,7 @@ from oracles import (
     covers_reference,
     grid_component_count,
     intersect_system_reference,
+    is_unimodular_matrix,
     local_lattice_poincare,
     poset_reference,
     random_arrangement,
@@ -319,7 +320,7 @@ def test_unimodular_rank_deficient_disconnected():
 
 
 @pytest.mark.parametrize("make", [
-    lambda: braid(5),  # rank 4 in a 5-torus: the minor cross-check is skipped
+    lambda: braid(5),  # rank 4 in a 5-torus: the minor criterion does not apply
     lambda: parse(RANK_DEFICIENT_DISCONNECTED),
     four_lines, two_curves, lambda: weyl("A", 3), lambda: weyl("B", 2),
 ], ids=["braid5", "rank_deficient_disconnected", "four_lines", "two_curves",
@@ -339,5 +340,24 @@ def test_is_unimodular_matches_definition_random():
             arr = random_unimodular_arrangement(rng, max_n=5)
         verdict = is_unimodular(arr)
         assert verdict == unimodular_by_definition(arr)
+        verdicts[verdict] += 1
+    assert verdicts[True] >= 20 and verdicts[False] >= 20, verdicts
+
+
+def test_is_unimodular_matches_maximal_minors():
+    """On a full-rank character matrix, every subset intersection is empty or
+    connected iff every maximal minor lies in {-1, 0, 1}."""
+    rng = random.Random(65)
+    arrs = [weyl(f, r) for f, r in [("A", 2), ("A", 3), ("A", 4), ("A", 5), ("B", 2),
+                                    ("B", 3), ("B", 4), ("C", 3), ("C", 4), ("D", 4),
+                                    ("G2", 2)]]
+    arrs += [random_arrangement(rng, max_l=4, max_n=6) for _ in range(200)]
+    verdicts = Counter()
+    for arr in arrs:
+        chars = arr.char_matrix()
+        if rank(chars) < arr.dim:
+            continue
+        verdict = is_unimodular(arr)
+        assert verdict == is_unimodular_matrix(chars), chars.entries
         verdicts[verdict] += 1
     assert verdicts[True] >= 20 and verdicts[False] >= 20, verdicts
