@@ -162,7 +162,8 @@ def cmd_drtype(args) -> int:
     _emit("dr_type", str(report.verdict).lower())
     _emit("dr_ordering", _ordering_str(report.ordering))
     _emit("step_counts",
-          " ".join(str(c) for c in report.step_counts) if report.ordering else "none")
+          " ".join(str(c) for c in report.step_counts)
+          if report.ordering is not None else "none")
     return EXIT_OK
 
 

@@ -12,6 +12,13 @@ lattice (:func:`~toricarr.lattice.saturation_from_snf`).  The order comes
 from the layered sweep of :func:`build_poset`, which records each component
 as a child of the components it was cut from; no pair of components is
 compared for containment.
+
+The sweep looks at each component C in its own coordinates: one Smith form
+of C's label basis gives a frame in which C is a torus and each hypersurface
+restricts to a character c of it.  A hypersurface with c = 0 contains C or
+misses it, and one whose trace on C consists of local hypersurfaces that
+earlier hypersurfaces already cut is skipped; only the other steps solve a
+character system.
 """
 
 from __future__ import annotations
@@ -19,7 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
-from math import lcm, prod
+from math import gcd, lcm, prod
+from operator import mul
 
 from .arrangement import Hypersurface, ToricArrangement, mod1
 from .lattice import IntMatrix, in_row_lattice, saturation_from_snf, snf
@@ -151,11 +159,13 @@ class IntersectionPoset:
         function from the full torus T = components[0].  The components are
         sorted by codim, so all those containing components[i] precede it.
         """
+        above: list[list[int]] = [[] for _ in self.components]
+        for i, j in self.strict_below:
+            above[i].append(j)
         mu: list[int] = []
         total = Polynomial.zero()
         for i, comp in enumerate(self.components):
-            mu.append(1 if i == 0 else
-                      -sum(mu[j] for j in range(i) if (i, j) in self.strict_below))
+            mu.append(1 if i == 0 else -sum(mu[j] for j in above[i]))
             total = total + (abs(mu[i]) * Polynomial.binomial(comp.dim)).shift(comp.codim)
         return total
 
@@ -174,14 +184,63 @@ def _label_key(c: Component):
     return (c.codim, c.sat_basis.entries, c.values)
 
 
+def _steps(comp: Component, hyps) -> list[Hypersurface]:
+    """The hypersurfaces whose step on ``comp`` may record something new.
+
+    The frame is the Smith form of the saturated label basis S (k rows):
+    S @ V = U^-1 @ [I_k | 0] with V unimodular, so the columns V[:, k:] are a
+    basis of the characters' kernel and s -> w + V[:, k:] @ s maps the
+    (dim - k)-torus isomorphically onto ``comp`` (w its witness).  On it
+    {chi @ u = b} reads c @ s = b - chi @ w with c = chi @ V[:, k:]: for
+    c = 0 the hypersurface contains ``comp`` or misses it, and otherwise
+    its trace has g = gcd(c) components, the local hypersurfaces
+    (c/g, (b - chi @ w + t)/g) for t < g.  A step whose local hypersurfaces
+    all came from earlier steps is left out.  The values are integers over
+    one denominator, and each local hypersurface's value is kept reduced.
+    """
+    k = comp.codim
+    if k == len(comp.witness):
+        return []
+    cols = list(zip(*(row[k:] for row in snf(comp.sat_basis).V.entries)))
+    den = lcm(*(h.b.denominator for h in hyps), *(x.denominator for x in comp.witness))
+    w = [x.numerator * (den // x.denominator) for x in comp.witness]
+    seen: set = set()
+    out = []
+    for h in hyps:
+        c = [sum(map(mul, h.chi, col)) for col in cols]
+        g = gcd(*c)
+        if not g:
+            continue
+        sign = 1 if next(x for x in c if x) > 0 else -1
+        local = tuple(sign * x // g for x in c)
+        v = h.b.numerator * (den // h.b.denominator) - sum(map(mul, h.chi, w))
+        m = g * den
+        keys = []
+        for t in range(g):
+            num = sign * (v + t * den) % m
+            r = gcd(num, m)
+            keys.append((local, num // r, m // r))
+        if seen.issuperset(keys):
+            continue
+        seen.update(keys)
+        out.append(h)
+    return out
+
+
 def build_poset(arr: ToricArrangement) -> IntersectionPoset:
     """Enumerate every connected component of every intersection.
 
     Works layer by layer: each known component C is intersected with each
-    hypersurface K not already containing it, and the resulting components
-    are deduplicated by canonical label.  This reaches every component of
-    every subset intersection (the exhaustive subset sweep is kept in the
-    test suite as an oracle).  Each component W of C ∩ K is recorded as a
+    hypersurface K in the frame of C (:func:`_steps`), and the components of
+    C ∩ K found by :func:`intersect_system` are deduplicated by canonical
+    label.  This reaches every component of every subset intersection (the
+    exhaustive subset sweep is kept in the test suite as an oracle).  A step
+    is left out when K contains C or misses it, and when each component of
+    C ∩ K is, as a local hypersurface of C, a component of C ∩ K' for an
+    earlier K': that step of K' recorded it (or, left out itself, an earlier
+    one did), with its edge to C, so the step of K would record nothing
+    new.  The components, their witnesses and their order are therefore
+    those of the full sweep.  Each component W of C ∩ K is recorded as a
     child of C, on the canonical instance of W, and has codim(C) + 1.  When
     W ⊊ C, some K contains W but not C, and W lies in a component of C ∩ K;
     so every strict containment is a chain of such edges, and
@@ -197,9 +256,7 @@ def build_poset(arr: ToricArrangement) -> IntersectionPoset:
         nxt = []
         for p in frontier:
             comp = found[p]
-            for h in arr.hypersurfaces:
-                if hypersurface_contains(comp, h):
-                    continue
+            for h in _steps(comp, arr.hypersurfaces):
                 sys_a = comp.sat_basis.with_row(h.chi)
                 sys_b = comp.values + (h.b,)
                 for w in intersect_system(sys_a, sys_b):

@@ -186,6 +186,14 @@ def test_drtype_golden(workdir, capsys):
     assert "step_counts: 1 1 2\n" in out
 
 
+def test_drtype_empty_arrangement(workdir, capsys):
+    # the empty ordering passes, like the one-hypersurface ordering: no step
+    # counts, not "none"
+    code, out, _ = run(capsys, "drtype", "empty3.txt")
+    assert code == 0
+    assert out.endswith("dr_type: true\ndr_ordering:\nstep_counts:\n")
+
+
 @pytest.mark.parametrize("command", ["analyze", "drtype"])
 def test_ordering_search_limit_leaves_stdout_empty(workdir, capsys, command):
     # thirteen points in C*: past the n <= 12 limit of the ordering search

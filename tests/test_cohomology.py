@@ -276,7 +276,7 @@ _CONNECTION_INDEX = {"A": lambda r: r + 1, "B": lambda r: 2, "C": lambda r: 2,
 
 @pytest.mark.parametrize("family, rank_", [
     ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("B", 2), ("B", 3), ("B", 4),
-    ("C", 3), ("C", 4), ("D", 4), ("G2", 2)])
+    ("C", 3), ("C", 4), ("D", 4), ("D", 5), ("B", 5), ("G2", 2)])
 def test_weyl_euler_characteristic(family, rank_):
     """Toric Weyl arrangements: P(-1) = (-1)^l |W| / f, with W the Weyl
     group and f the index of connection."""

@@ -256,6 +256,10 @@ def test_poset_matches_reference_random():
         _assert_poset_matches_reference(arr)
         kinds += _system_kinds(arr.char_matrix(), arr.b_vector())
     _assert_all_kinds(kinds, 5)
+    # rank 4: curves of codimension 3 are expanded in frames of their own
+    rng = random.Random(64)
+    for _ in range(60):
+        _assert_poset_matches_reference(random_arrangement(rng, max_l=4, max_n=6))
 
 
 def test_poset_order_consistent_with_dimension():
