@@ -19,7 +19,7 @@ from .cohomology import (
     dr_poincare,
     find_dr_ordering,
 )
-from .forms import degree2_relations, generators, wedge_monomials
+from .forms import SamplingError, degree2_relations, generators, wedge_monomials
 from .poset import build_poset, is_unimodular
 
 EXIT_OK = 0
@@ -75,7 +75,6 @@ def _parse_ordering(text: str, n: int) -> tuple[int, ...]:
 def cmd_analyze(args) -> int:
     arr, digest = _load(args.file)
     report = find_dr_ordering(arr)
-    unimodular = is_unimodular(arr)
     poset = build_poset(arr)
     poincare_dcp = poset.poincare()
     poincare_dr = "unavailable"
@@ -87,7 +86,7 @@ def cmd_analyze(args) -> int:
     _header("analyze", args.file, digest)
     _emit("l", arr.dim)
     _emit("n", arr.n)
-    _emit("unimodular", str(unimodular).lower())
+    _emit("unimodular", str(poset.unimodular).lower())
     _emit("dr_type", str(report.verdict).lower())
     _emit("dr_ordering", _ordering_str(report.ordering))
     _emit("poincare_dcp", _poly_str(poincare_dcp))
@@ -106,8 +105,8 @@ def _values_str(values) -> str:
 
 def cmd_poset(args) -> int:
     arr, digest = _load(args.file)
-    _header("poset", args.file, digest)
     poset = build_poset(arr)
+    _header("poset", args.file, digest)
     _emit("l", arr.dim)
     _emit("n", arr.n)
     _emit("components", len(poset.components))
@@ -150,8 +149,9 @@ def cmd_poincare(args) -> int:
 
 def cmd_unimodular(args) -> int:
     arr, digest = _load(args.file)
+    unimodular = is_unimodular(arr)
     _header("unimodular", args.file, digest)
-    _emit("unimodular", str(is_unimodular(arr)).lower())
+    _emit("unimodular", str(unimodular).lower())
     return EXIT_OK
 
 
@@ -250,7 +250,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"toricarr: {exc}", file=sys.stderr)
         return EXIT_USER_ERROR
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, SamplingError) as exc:
         print(f"toricarr: {exc}", file=sys.stderr)
         return EXIT_USER_ERROR
     except DrHypothesisError as exc:

@@ -10,6 +10,7 @@ numerical null space therefore recovers the degree-2 relation space.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -60,22 +61,29 @@ def _constant(b: Fraction) -> complex:
     return complex(np.exp(2j * np.pi * float(b)))
 
 
+_TINY = np.finfo(float).tiny
+
+
 def sample_point(arr: ToricArrangement, seed) -> np.ndarray:
     """Deterministic random point of the complement.
 
     Coordinates get log-uniform modulus in [1/2, 2] and uniform argument;
     draws landing within 1e-3 of a hypersurface are rejected and redrawn,
-    with a budget of 1000 attempts.
+    with a budget of 1000 attempts.  So are draws where some character
+    value overflows or underflows (not finite, or of modulus below the
+    smallest normal float): there a generator's covector would read as 0.
     """
     rng = np.random.default_rng(seed)
-    for _ in range(1000):
-        modulus = 2.0 ** rng.uniform(-1.0, 1.0, arr.dim)
-        angle = rng.uniform(0.0, 2.0 * np.pi, arr.dim)
-        z = modulus * np.exp(1j * angle)
-        if all(abs(_char_value(h.chi, z) - _constant(h.b)) >= 1e-3
-               for h in arr.hypersurfaces):
-            return z
-    raise SamplingError("1000 draws all fell within 1e-3 of a hypersurface")
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        for _ in range(1000):
+            modulus = 2.0 ** rng.uniform(-1.0, 1.0, arr.dim)
+            angle = rng.uniform(0.0, 2.0 * np.pi, arr.dim)
+            z = modulus * np.exp(1j * angle)
+            if all(cmath.isfinite(w) and abs(w) >= _TINY and abs(w - _constant(h.b)) >= 1e-3
+                   for h in arr.hypersurfaces for w in (_char_value(h.chi, z),)):
+                return z
+    raise SamplingError("1000 draws all fell within 1e-3 of a hypersurface "
+                        "or out of floating-point range of a character")
 
 
 def eval_generator(gen: FormGenerator, z: np.ndarray) -> np.ndarray:

@@ -19,14 +19,23 @@ restricts to a character c of it.  A hypersurface with c = 0 contains C or
 misses it, and one whose trace on C consists of local hypersurfaces that
 earlier hypersurfaces already cut is skipped; only the other steps solve a
 character system.
+
+The same frame decides unimodularity (every subset intersection empty or
+connected): the arrangement is unimodular iff no hypersurface K splits a
+component C, i.e. no c != 0 has g = gcd(c) > 1.  C is a component of the
+intersection of the hypersurfaces containing it, so when g > 1 the g
+components of C ∩ K are components of that subset intersection with K
+added.  Conversely, take a minimal subset S' ∪ {K} whose intersection is
+disconnected: the intersection of S' is connected, one component C', and
+C' ∩ K has g(C', K) > 1 components.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
-from math import gcd, lcm, prod
+from itertools import product
+from math import gcd, lcm
 from operator import mul
 
 from .arrangement import Hypersurface, ToricArrangement, mod1
@@ -79,26 +88,6 @@ def hypersurface_contains(comp: Component, h: Hypersurface) -> bool:
             and mod1(_dot(h.chi, comp.witness)) == h.b)
 
 
-def _smith_solve(a: IntMatrix, b):
-    """Smith form of ``a`` and the right-hand side ``b`` in its coordinates.
-
-    ``b`` is reduced mod 1 and scaled to integers over den, the lcm of its
-    denominators.  Returns (res, d, beta, den) with ``res`` the Smith form,
-    ``d`` its divisors and beta = U @ (den * b); or None when the system is
-    inconsistent, i.e. some beta_j with j >= rank is not divisible by den.
-    """
-    if len(b) != a.rows:
-        raise ValueError("one value per character row is required")
-    den = lcm(*(x.denominator for x in b))
-    scaled = [x.numerator * (den // x.denominator) % den for x in b]
-    res = snf(a)
-    d = res.divisors()
-    beta = [sum(u * x for u, x in zip(row, scaled)) for row in res.U.entries]
-    if any(x % den for x in beta[len(d):]):
-        return None
-    return res, d, beta, den
-
-
 def intersect_system(a: IntMatrix, b) -> list[Component]:
     """Connected components of {z : z^(row_i) = exp(2*pi*i*b_i) for all i}.
 
@@ -107,13 +96,19 @@ def intersect_system(a: IntMatrix, b) -> list[Component]:
     the component count is the product of the elementary divisors of ``a``,
     and witnesses come from Smith-form back-substitution with free
     coordinates pinned to zero, in integers over the one denominator
-    den * lcm(d); each ``Fraction`` is built once, for the ``Component``.
-    The saturated label lattice comes from the same Smith form.
+    den * lcm(d), den being the lcm of the denominators of ``b``; each
+    ``Fraction`` is built once, for the ``Component``.  The saturated label
+    lattice comes from the same Smith form.
     """
-    solved = _smith_solve(a, b)
-    if solved is None:
+    if len(b) != a.rows:
+        raise ValueError("one value per character row is required")
+    den = lcm(*(x.denominator for x in b))
+    scaled = [x.numerator * (den // x.denominator) % den for x in b]
+    res = snf(a)
+    d = res.divisors()
+    beta = [sum(map(mul, row, scaled)) for row in res.U.entries]
+    if any(x % den for x in beta[len(d):]):
         return []
-    res, d, beta, den = solved
     sat = saturation_from_snf(a, res)
     big = den * lcm(*d)
     scale = [big // (den * dj) for dj in d]
@@ -136,12 +131,14 @@ class IntersectionPoset:
     ``components`` is sorted by (codim, label); ``strict_below`` holds the
     index pairs (i, j) with components[i] a proper subset of components[j].
     Layers are indexed by codimension, the full torus being the single
-    codimension-0 element.
+    codimension-0 element.  ``unimodular`` is the verdict of
+    :func:`is_unimodular`, read off the same sweep.
     """
 
     dim: int
     components: tuple[Component, ...]
     strict_below: frozenset[tuple[int, int]]
+    unimodular: bool
 
     def layer(self, codim: int) -> tuple[Component, ...]:
         return tuple(c for c in self.components if c.codim == codim)
@@ -184,8 +181,9 @@ def _label_key(c: Component):
     return (c.codim, c.sat_basis.entries, c.values)
 
 
-def _steps(comp: Component, hyps) -> list[Hypersurface]:
-    """The hypersurfaces whose step on ``comp`` may record something new.
+def _steps(comp: Component, hyps) -> tuple[bool, list[Hypersurface]]:
+    """Whether some hypersurface splits ``comp``, and the hypersurfaces whose
+    step on ``comp`` may record something new.
 
     The frame is the Smith form of the saturated label basis S (k rows):
     S @ V = U^-1 @ [I_k | 0] with V unimodular, so the columns V[:, k:] are a
@@ -194,16 +192,18 @@ def _steps(comp: Component, hyps) -> list[Hypersurface]:
     {chi @ u = b} reads c @ s = b - chi @ w with c = chi @ V[:, k:]: for
     c = 0 the hypersurface contains ``comp`` or misses it, and otherwise
     its trace has g = gcd(c) components, the local hypersurfaces
-    (c/g, (b - chi @ w + t)/g) for t < g.  A step whose local hypersurfaces
-    all came from earlier steps is left out.  The values are integers over
-    one denominator, and each local hypersurface's value is kept reduced.
+    (c/g, (b - chi @ w + t)/g) for t < g; it splits ``comp`` when g > 1.
+    A step whose local hypersurfaces all came from earlier steps is left
+    out.  The values are integers over one denominator, and each local
+    hypersurface's value is kept reduced.
     """
     k = comp.codim
     if k == len(comp.witness):
-        return []
+        return False, []
     cols = list(zip(*(row[k:] for row in snf(comp.sat_basis).V.entries)))
     den = lcm(*(h.b.denominator for h in hyps), *(x.denominator for x in comp.witness))
     w = [x.numerator * (den // x.denominator) for x in comp.witness]
+    split = False
     seen: set = set()
     out = []
     for h in hyps:
@@ -211,6 +211,7 @@ def _steps(comp: Component, hyps) -> list[Hypersurface]:
         g = gcd(*c)
         if not g:
             continue
+        split = split or g > 1
         sign = 1 if next(x for x in c if x) > 0 else -1
         local = tuple(sign * x // g for x in c)
         v = h.b.numerator * (den // h.b.denominator) - sum(map(mul, h.chi, w))
@@ -224,39 +225,26 @@ def _steps(comp: Component, hyps) -> list[Hypersurface]:
             continue
         seen.update(keys)
         out.append(h)
-    return out
+    return split, out
 
 
-def build_poset(arr: ToricArrangement) -> IntersectionPoset:
-    """Enumerate every connected component of every intersection.
+def _sweep(arr: ToricArrangement, found: list[Component], parents: list[set[int]]):
+    """Expand every component of ``arr`` layer by layer, from ``found[0]``.
 
-    Works layer by layer: each known component C is intersected with each
-    hypersurface K in the frame of C (:func:`_steps`), and the components of
-    C ∩ K found by :func:`intersect_system` are deduplicated by canonical
-    label.  This reaches every component of every subset intersection (the
-    exhaustive subset sweep is kept in the test suite as an oracle).  A step
-    is left out when K contains C or misses it, and when each component of
-    C ∩ K is, as a local hypersurface of C, a component of C ∩ K' for an
-    earlier K': that step of K' recorded it (or, left out itself, an earlier
-    one did), with its edge to C, so the step of K would record nothing
-    new.  The components, their witnesses and their order are therefore
-    those of the full sweep.  Each component W of C ∩ K is recorded as a
-    child of C, on the canonical instance of W, and has codim(C) + 1.  When
-    W ⊊ C, some K contains W but not C, and W lies in a component of C ∩ K;
-    so every strict containment is a chain of such edges, and
-    ``strict_below`` is their transitive closure, taken over the
-    codimension-sorted components with one bitmask per component.
+    For each component C in turn, yields whether some hypersurface splits C
+    (:func:`_steps`), before solving C's steps.  Each component W of a step
+    C ∩ K is appended to ``found`` on first sight, with an empty set in
+    ``parents``, and C's index is added to the parents of W.
     """
-    torus = full_torus(arr.dim)
-    found = [torus]
-    index = {torus: 0}
-    parents: list[set[int]] = [set()]
+    index = {c: k for k, c in enumerate(found)}
     frontier = [0]
     while frontier:
         nxt = []
         for p in frontier:
             comp = found[p]
-            for h in _steps(comp, arr.hypersurfaces):
+            split, steps = _steps(comp, arr.hypersurfaces)
+            yield split
+            for h in steps:
                 sys_a = comp.sat_basis.with_row(h.chi)
                 sys_b = comp.values + (h.b,)
                 for w in intersect_system(sys_a, sys_b):
@@ -268,6 +256,39 @@ def build_poset(arr: ToricArrangement) -> IntersectionPoset:
                         nxt.append(k)
                     parents[k].add(p)
         frontier = nxt
+
+
+def build_poset(arr: ToricArrangement) -> IntersectionPoset:
+    """Enumerate every connected component of every intersection.
+
+    Works layer by layer (:func:`_sweep`): each known component C is
+    intersected with each hypersurface K in the frame of C (:func:`_steps`),
+    and the components of C ∩ K found by :func:`intersect_system` are
+    deduplicated by canonical label.  This reaches every component of every
+    subset intersection (the exhaustive subset sweep is kept in the test
+    suite as an oracle).  A step is left out when K contains C or misses
+    it, and when each component of C ∩ K is, as a local hypersurface of C,
+    a component of C ∩ K' for an earlier K': that step of K' recorded it
+    (or, left out itself, an earlier one did), with its edge to C, so the
+    step of K would record nothing new.  The components, their witnesses
+    and their order are therefore those of the full sweep.  Each component
+    W of C ∩ K is recorded as a child of C, on the canonical instance of W,
+    and has codim(C) + 1.  When W ⊊ C, some K contains W but not C, and W
+    lies in a component of C ∩ K; so every strict containment is a chain of
+    such edges, and ``strict_below`` is their transitive closure, taken
+    over the codimension-sorted components with one bitmask per component.
+
+    The sweep expands every component, so it also gives the unimodularity
+    verdict: the arrangement is unimodular iff no hypersurface K splits a
+    component C into g = gcd(c) > 1 pieces (c being K's character
+    restricted to C's torus).  If g > 1, the pieces of C ∩ K are components
+    of the intersection of K and the hypersurfaces containing C; and a
+    minimal disconnected subset S' ∪ {K} has one component C' of ∩S', which
+    K splits.
+    """
+    found = [full_torus(arr.dim)]
+    parents: list[set[int]] = [set()]
+    splits = list(_sweep(arr, found, parents))
     order = sorted(range(len(found)), key=lambda k: _label_key(found[k]))
     pos = [0] * len(found)
     for i, k in enumerate(order):
@@ -283,24 +304,20 @@ def build_poset(arr: ToricArrangement) -> IntersectionPoset:
             low = mask & -mask
             below.append((i, low.bit_length() - 1))
             mask ^= low
-    return IntersectionPoset(arr.dim, tuple(found[k] for k in order), frozenset(below))
+    return IntersectionPoset(arr.dim, tuple(found[k] for k in order), frozenset(below),
+                             not any(splits))
 
 
 def is_unimodular(arr: ToricArrangement) -> bool:
     """True iff every subset intersection is empty or connected.
 
-    Subsets of size at most ``dim`` suffice: a larger subset spans the same
-    saturated lattice as a maximal independent subset of itself.  A subset
-    system has no component when inconsistent and otherwise as many as the
-    product of its Smith divisors, so the components are counted, not
-    built.
+    That holds iff no hypersurface K splits a component C of the poset,
+    i.e. iff gcd(c) <= 1 for K's character c restricted to C's torus.  When
+    g = gcd(c) > 1, C is a component of the intersection of the
+    hypersurfaces containing it, so the g components of C ∩ K are
+    components of that intersection with K added.  Conversely, a minimal
+    subset S' ∪ {K} with a disconnected intersection has ∩S' connected,
+    one component C', and C' ∩ K has g(C', K) > 1 components.  The sweep
+    of :func:`build_poset` is run until the first split.
     """
-    chars = arr.char_matrix()
-    bs = arr.b_vector()
-    for size in range(1, min(arr.n, arr.dim) + 1):
-        for subset in combinations(range(arr.n), size):
-            sub = IntMatrix(size, arr.dim, tuple(chars.entries[i] for i in subset))
-            solved = _smith_solve(sub, tuple(bs[i] for i in subset))
-            if solved is not None and prod(solved[1]) > 1:
-                return False
-    return True
+    return not any(_sweep(arr, [full_torus(arr.dim)], [set()]))

@@ -3,7 +3,7 @@
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import numpy as np
 
@@ -280,7 +280,7 @@ def poset_reference(arr):
     comps = tuple(sorted(seen, key=lambda c: (c.codim, c.sat_basis.entries, c.values)))
     below = frozenset((i, j) for i, ci in enumerate(comps) for j, cj in enumerate(comps)
                       if ci.codim > cj.codim and component_contains(ci, cj))
-    return IntersectionPoset(arr.dim, comps, below)
+    return IntersectionPoset(arr.dim, comps, below, unimodular_by_subsets(arr))
 
 
 def covers_reference(poset):
@@ -299,6 +299,25 @@ def unimodular_by_definition(arr):
         for subset in combinations(range(arr.n), size):
             sub = IntMatrix(size, arr.dim, tuple(chars.entries[i] for i in subset))
             if len(intersect_system_reference(sub, tuple(bs[i] for i in subset))) > 1:
+                return False
+    return True
+
+
+def unimodular_by_subsets(arr):
+    """True iff no subset of at most ``dim`` hypersurfaces has a disconnected
+    intersection.  A larger subset spans the same saturated lattice as a
+    maximal independent subset of itself, whose intersection is a union of
+    the same cosets.  A subset system has no component when inconsistent
+    and otherwise as many as the product of its Smith divisors, so the
+    components are counted, not built."""
+    chars, bs = arr.char_matrix(), arr.b_vector()
+    for size in range(1, min(arr.n, arr.dim) + 1):
+        for subset in combinations(range(arr.n), size):
+            sub = IntMatrix(size, arr.dim, tuple(chars.entries[i] for i in subset))
+            res = snf(sub)
+            d = res.divisors()
+            beta = res.U.mul_vec(tuple(bs[i] for i in subset))
+            if prod(d) > 1 and all(mod1(x) == 0 for x in beta[len(d):]):
                 return False
     return True
 

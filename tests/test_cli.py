@@ -169,6 +169,21 @@ def test_unimodular_golden(workdir, capsys):
     )
 
 
+@pytest.mark.parametrize("command, target", [("poset", "build_poset"),
+                                             ("unimodular", "is_unimodular")])
+def test_failed_computation_leaves_stdout_empty(workdir, capsys, monkeypatch,
+                                                command, target):
+    # the header is printed only once the report has been computed
+    def fail(arr):
+        raise ValueError("too large")
+
+    monkeypatch.setattr(f"toricarr.cli.{target}", fail)
+    code, out, err = run(capsys, command, "four_lines.txt")
+    assert code == 1
+    assert out == ""
+    assert err == "toricarr: too large\n"
+
+
 def test_drtype_golden(workdir, capsys):
     code, out, _ = run(capsys, "drtype", "two_curves.txt")
     assert code == 0
@@ -256,6 +271,24 @@ def test_relations_empty(workdir, capsys):
     assert code == 0
     assert "nullity: 0\n" in out
     assert "consistent: true\n" in out
+
+
+def test_relations_huge_exponent_refused(workdir, capsys):
+    # z1^1000000 overflows or underflows at almost every draw, where psi1's
+    # covector would read as 0 and the nullity as 4; b2 = 4 (two coordinate
+    # circles after a change of basis), so that read "consistent: false"
+    (workdir / "huge.txt").write_text("torus 2\nhyp 1000000 1 @ 0/1\nhyp 1 0 @ 0/1\n")
+    code, out, err = run(capsys, "relations", "huge.txt")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("toricarr: 1000 draws")
+
+
+def test_relations_large_exponent_consistent(workdir, capsys):
+    (workdir / "large.txt").write_text("torus 2\nhyp 100000 1 @ 0/1\nhyp 1 0 @ 0/1\n")
+    code, out, _ = run(capsys, "relations", "large.txt")
+    assert code == 0
+    assert out.endswith("nullity: 2\nexpected_h2: 4\nconsistent: true\n")
 
 
 @pytest.mark.parametrize("flag", ["--samples=1", "--tol=-1", "--tol=0",

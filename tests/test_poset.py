@@ -26,6 +26,7 @@ from oracles import (
     saturation_reference,
     subset_sweep_components,
     unimodular_by_definition,
+    unimodular_by_subsets,
 )
 
 
@@ -346,6 +347,50 @@ def test_is_unimodular_matches_definition_random():
         assert verdict == unimodular_by_definition(arr)
         verdicts[verdict] += 1
     assert verdicts[True] >= 20 and verdicts[False] >= 20, verdicts
+
+
+SWEEP_FAMILIES = [("A", 2), ("A", 3), ("A", 4), ("A", 5), ("B", 2), ("B", 3), ("B", 4),
+                  ("B", 5), ("C", 3), ("C", 4), ("C", 5), ("D", 4), ("D", 5), ("G2", 2)]
+
+
+@pytest.mark.parametrize("make", [lambda f=f, r=r: weyl(f, r) for f, r in SWEEP_FAMILIES]
+                         + [lambda n=n: braid(n) for n in range(3, 7)],
+                         ids=[f"{f}{r}" for f, r in SWEEP_FAMILIES]
+                         + [f"braid{n}" for n in range(3, 7)])
+def test_sweep_verdict_matches_subsets(make):
+    arr = make()
+    assert build_poset(arr).unimodular == is_unimodular(arr) == unimodular_by_subsets(arr)
+
+
+def test_sweep_verdict_matches_subsets_random():
+    rng = random.Random(66)
+    verdicts = Counter()
+    for k in range(320):
+        if k % 3:
+            arr = random_arrangement(rng, max_l=4, max_n=7)
+        else:
+            arr = random_unimodular_arrangement(rng, max_l=4, max_n=7)
+        verdict = unimodular_by_subsets(arr)
+        assert build_poset(arr).unimodular == is_unimodular(arr) == verdict
+        verdicts[verdict] += 1
+    assert verdicts[True] >= 20 and verdicts[False] >= 20, verdicts
+
+
+def test_is_unimodular_stops_at_first_split(monkeypatch):
+    """B5: one system per hypersurface at the torus, then the first
+    component expanded is split; the full sweep solves thousands."""
+    import toricarr.poset as poset_module
+
+    calls = []
+    solve = poset_module.intersect_system
+
+    def counted(a, b):
+        calls.append(a)
+        return solve(a, b)
+
+    monkeypatch.setattr(poset_module, "intersect_system", counted)
+    assert not is_unimodular(weyl("B", 5))
+    assert len(calls) <= 25
 
 
 def test_is_unimodular_matches_maximal_minors():
