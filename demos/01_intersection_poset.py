@@ -42,7 +42,7 @@ for k, comp in enumerate(poset.components, start=1):
           f"  values {tuple(str(v) for v in comp.values)}")
 print()
 print("covering relations (sub < super):")
-for i, j in poset.covers():
+for i, j in poset.covers:
     print(f"  {i + 1} < {j + 1}")
 print()
 print("The point (1,1) lies on all four curves; (-1,-1) only on the last two.")

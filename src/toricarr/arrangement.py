@@ -9,18 +9,22 @@ arithmetic mod 1 (log coordinates).
 ``(chi, b)`` and ``(-chi, -b mod 1)`` cut out the same set; hypersurfaces are
 normalized to the representative whose first nonzero exponent is positive.
 
-Restriction to a hypersurface K_i yields a ``ToricArrangement`` in a torus of
-one dimension less: :func:`traces` gives the components each hypersurface
-cuts on K_i, and :func:`restrict` their ordered union over a prefix.
+Restriction is coded once, in :func:`local_traces`: it writes each
+hypersurface's trace on a component (here K_i, in the poset sweep any
+component) in that component's own coordinates.  Restriction to a
+hypersurface K_i yields a ``ToricArrangement`` in a torus of one dimension
+less: :func:`traces` gives the components each hypersurface cuts on K_i,
+and :func:`restrict` their ordered union over a prefix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
-from .lattice import IntMatrix, is_primitive, snf, vec_mul
+from .lattice import IntMatrix, is_primitive, snf
 
 
 class ParseError(ValueError):
@@ -276,48 +280,58 @@ def weyl(family: str, rank_: int, simple_only: bool = False) -> ToricArrangement
 
 # -- restriction ----------------------------------------------------------------
 
-def _completion_to_basis(chi: tuple[int, ...]) -> IntMatrix:
-    """Unimodular V with chi @ V = (1, 0, ..., 0), for primitive chi."""
-    row = IntMatrix.from_rows([chi])
-    res = snf(row)
-    if res.D.entries[0][0] != 1:
-        raise ValueError(f"character {chi} is not primitive")
-    v = [list(r) for r in res.V.entries]
-    if res.U.entries[0][0] == -1:
-        for r in v:
-            r[0] = -r[0]
-    return IntMatrix.from_rows(v)
+def local_traces(basis: IntMatrix, values, hyps):
+    """Trace of each hypersurface on the component {S @ u = values}, in
+    the component's own coordinates.
 
-
-def _trace(arr: ToricArrangement, i: int, v: IntMatrix, r: int) -> tuple[Hypersurface, ...]:
-    """Components of K_r ∩ K_i as hypersurfaces of K_i, in the coordinates
-    of ``v = _completion_to_basis(chi_i)``: component t of the g = gcd of
-    the tail of chi_r @ V at position t; empty for r == i and for K_r
-    parallel to K_i."""
-    hi, hr = arr.hypersurfaces[i], arr.hypersurfaces[r]
-    prime = vec_mul(hr.chi, v)
-    head, tail = prime[0], prime[1:]
-    b = mod1(hr.b - head * hi.b)
-    if not any(tail):
-        # K_r is K_i or parallel to it; a parallel one is distinct, so disjoint
-        assert r == i or b != 0, "duplicate hypersurface escaped arrangement validation"
-        return ()
-    g = gcd(*tail)
-    chi0 = tuple(x // g for x in tail)
-    return tuple(Hypersurface(chi0, Fraction(b + t, g)) for t in range(g))
+    ``basis`` is a saturated label basis S (k rows, values in Q/Z).  Its
+    Smith form U @ S @ V = [I_k | 0] gives the frame: the base point
+    w = V[:, :k] @ U @ values lies on the component, and s -> w + V[:, k:] @ s
+    maps the (dim - k)-torus onto it.  There {chi @ u = b} reads
+    c @ s = b - chi @ w with c = chi @ V[:, k:].  Yields, per hypersurface,
+    None when c = 0 (it contains the component or misses it), and otherwise
+    the sign-normalised local character c/g, g = gcd(c), with the values of
+    its g local hypersurfaces as reduced pairs (numerator, denominator):
+    value t is sign * (v + t)/g mod 1, v = b - chi @ w reduced mod 1.
+    """
+    k = basis.rows
+    res = snf(basis)
+    den = lcm(*(x.denominator for x in values), *(h.b.denominator for h in hyps))
+    scaled = [x.numerator * (den // x.denominator) for x in values]
+    y = [sum(map(mul, row, scaled)) for row in res.U.entries]
+    w = [sum(map(mul, row[:k], y)) for row in res.V.entries]
+    cols = list(zip(*(row[k:] for row in res.V.entries)))
+    for h in hyps:
+        c = [sum(map(mul, h.chi, col)) for col in cols]
+        g = gcd(*c)
+        if not g:
+            yield None
+            continue
+        sign = 1 if next(x for x in c if x) > 0 else -1
+        v = (h.b.numerator * (den // h.b.denominator) - sum(map(mul, h.chi, w))) % den
+        m = g * den
+        pairs = []
+        for t in range(g):
+            num = sign * (v + t * den) % m
+            r = gcd(num, m)
+            pairs.append((num // r, m // r))
+        yield tuple(sign * x // g for x in c), tuple(pairs)
 
 
 def traces(arr: ToricArrangement, i: int) -> tuple[tuple[Hypersurface, ...], ...]:
     """Trace of every hypersurface on hypersurface ``i``, 0-based.
 
-    K_i becomes a torus of dimension ``dim - 1`` through a unimodular V with
-    chi_i @ V = e_1.  Entry r lists the g connected components of K_r ∩ K_i
-    (g the gcd of the tail of chi_r @ V) as hypersurfaces of that torus,
-    component t at position t; it is empty for r == i and for K_r parallel
-    to K_i.
+    K_i = {chi_i @ u = b_i} becomes a torus of dimension ``dim - 1`` in the
+    frame of :func:`local_traces`.  Entry r lists the g connected components
+    of K_r ∩ K_i (g the gcd of chi_r restricted to K_i) as hypersurfaces of
+    that torus, component t at position t; it is empty for r == i and for
+    K_r parallel to K_i.
     """
-    v = _completion_to_basis(arr.hypersurfaces[i].chi)
-    return tuple(_trace(arr, i, v, r) for r in range(arr.n))
+    hi = arr.hypersurfaces[i]
+    basis = IntMatrix(1, arr.dim, (hi.chi,))
+    return tuple(() if tr is None else
+                 tuple(Hypersurface(tr[0], Fraction(num, d)) for num, d in tr[1])
+                 for tr in local_traces(basis, (hi.b,), arr.hypersurfaces))
 
 
 def _union(trace, prefix) -> tuple[Hypersurface, ...]:

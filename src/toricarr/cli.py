@@ -12,7 +12,7 @@ import argparse
 import hashlib
 import sys
 
-from .arrangement import ParseError, ToricArrangement, parse, serialize, weyl
+from .arrangement import ToricArrangement, parse, serialize, weyl
 from .cohomology import (
     DrHypothesisError,
     dcp_poincare,
@@ -115,7 +115,7 @@ def cmd_poset(args) -> int:
         _emit(f"component {k}",
               f"codim={comp.codim} dim={comp.dim} "
               f"basis={_basis_str(comp.sat_basis)} values={_values_str(comp.values)}")
-    for i, j in poset.covers():
+    for i, j in poset.covers:
         _emit("cover", f"{i + 1} < {j + 1}")
     return EXIT_OK
 
@@ -247,9 +247,6 @@ def main(argv=None) -> int:
         return EXIT_USER_ERROR if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"toricarr: {exc}", file=sys.stderr)
-        return EXIT_USER_ERROR
     except (OSError, ValueError, SamplingError) as exc:
         print(f"toricarr: {exc}", file=sys.stderr)
         return EXIT_USER_ERROR

@@ -70,7 +70,7 @@ class IntMatrix:
         """Matrix times column vector; entries may be ints or Fractions."""
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        zero = Fraction(0) if _has_fraction(v) else 0
+        zero = Fraction(0) if any(isinstance(x, Fraction) for x in v) else 0
         return tuple(sum((x * y for x, y in zip(r, v)), zero) for r in self.entries)
 
     def with_row(self, v) -> "IntMatrix":
@@ -78,19 +78,6 @@ class IntMatrix:
         if len(v) != self.cols:
             raise ValueError("row length mismatch")
         return IntMatrix(self.rows + 1, self.cols, self.entries + (v,))
-
-
-def _has_fraction(v) -> bool:
-    return any(isinstance(x, Fraction) for x in v)
-
-
-def vec_mul(v, a: IntMatrix):
-    """Row vector times matrix; entries may be ints or Fractions."""
-    if len(v) != a.rows:
-        raise ValueError("vector length mismatch")
-    zero = Fraction(0) if _has_fraction(v) else 0
-    return tuple(sum((x * a.entries[i][j] for i, x in enumerate(v)), zero)
-                 for j in range(a.cols))
 
 
 @dataclass(frozen=True)

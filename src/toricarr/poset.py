@@ -11,14 +11,17 @@ back-substitution in integers over one common denominator, and the label
 lattice (:func:`~toricarr.lattice.saturation_from_snf`).  The order comes
 from the layered sweep of :func:`build_poset`, which records each component
 as a child of the components it was cut from; no pair of components is
-compared for containment.
+compared for containment.  Those edges are the covers of the poset, and the
+Mobius values from the full torus are summed along them, so the poset
+stores both and never builds its set of comparable pairs.
 
-The sweep looks at each component C in its own coordinates: one Smith form
-of C's label basis gives a frame in which C is a torus and each hypersurface
-restricts to a character c of it.  A hypersurface with c = 0 contains C or
-misses it, and one whose trace on C consists of local hypersurfaces that
-earlier hypersurfaces already cut is skipped; only the other steps solve a
-character system.
+The sweep looks at each component C in its own coordinates: the frame of
+:func:`~toricarr.arrangement.local_traces` (one Smith form of C's label
+basis, the same routine that gives the deletion-restriction traces) makes
+C a torus, and each hypersurface restricts to a character c of it.  A
+hypersurface with c = 0 contains C or misses it, and one whose trace on C
+consists of local hypersurfaces that earlier hypersurfaces already cut is
+skipped; only the other steps solve a character system.
 
 The same frame decides unimodularity (every subset intersection empty or
 connected): the arrangement is unimodular iff no hypersurface K splits a
@@ -35,10 +38,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 
-from .arrangement import Hypersurface, ToricArrangement, mod1
+from .arrangement import Hypersurface, ToricArrangement, local_traces, mod1
 from .lattice import IntMatrix, in_row_lattice, saturation_from_snf, snf
 from .polynomial import Polynomial
 
@@ -128,16 +131,19 @@ def intersect_system(a: IntMatrix, b) -> list[Component]:
 class IntersectionPoset:
     """All components of all intersections, ordered by inclusion.
 
-    ``components`` is sorted by (codim, label); ``strict_below`` holds the
-    index pairs (i, j) with components[i] a proper subset of components[j].
-    Layers are indexed by codimension, the full torus being the single
-    codimension-0 element.  ``unimodular`` is the verdict of
+    ``components`` is sorted by (codim, label).  ``covers`` holds the sorted
+    index pairs (i, j) with components[i] covered by components[j] (a
+    proper subset, nothing between); the order is their transitive closure.
+    ``mobius[i]`` is mu(T, components[i]), T = components[0] being the full
+    torus.  Layers are indexed by codimension, the full torus being the
+    single codimension-0 element.  ``unimodular`` is the verdict of
     :func:`is_unimodular`, read off the same sweep.
     """
 
     dim: int
     components: tuple[Component, ...]
-    strict_below: frozenset[tuple[int, int]]
+    covers: tuple[tuple[int, int], ...]
+    mobius: tuple[int, ...]
     unimodular: bool
 
     def layer(self, codim: int) -> tuple[Component, ...]:
@@ -152,29 +158,11 @@ class IntersectionPoset:
 
     def poincare(self) -> Polynomial:
         """Poincare polynomial of the complement: the sum over components W
-        of |mu(T, W)| * t^codim(W) * (1 + t)^dim(W), with mu the Mobius
-        function from the full torus T = components[0].  The components are
-        sorted by codim, so all those containing components[i] precede it.
-        """
-        above: list[list[int]] = [[] for _ in self.components]
-        for i, j in self.strict_below:
-            above[i].append(j)
-        mu: list[int] = []
+        of |mu(T, W)| * t^codim(W) * (1 + t)^dim(W)."""
         total = Polynomial.zero()
-        for i, comp in enumerate(self.components):
-            mu.append(1 if i == 0 else -sum(mu[j] for j in above[i]))
-            total = total + (abs(mu[i]) * Polynomial.binomial(comp.dim)).shift(comp.codim)
+        for mu, comp in zip(self.mobius, self.components):
+            total = total + (abs(mu) * Polynomial.binomial(comp.dim)).shift(comp.codim)
         return total
-
-    def covers(self) -> tuple[tuple[int, int], ...]:
-        """Pairs (i, j): components[i] covered by components[j] (nothing between).
-
-        These are the pairs of ``strict_below`` one codimension apart, which
-        are exactly the edges of the sweep in :func:`build_poset`.
-        """
-        comps = self.components
-        return tuple(sorted((i, j) for i, j in self.strict_below
-                            if comps[i].codim == comps[j].codim + 1))
 
 
 def _label_key(c: Component):
@@ -185,42 +173,23 @@ def _steps(comp: Component, hyps) -> tuple[bool, list[Hypersurface]]:
     """Whether some hypersurface splits ``comp``, and the hypersurfaces whose
     step on ``comp`` may record something new.
 
-    The frame is the Smith form of the saturated label basis S (k rows):
-    S @ V = U^-1 @ [I_k | 0] with V unimodular, so the columns V[:, k:] are a
-    basis of the characters' kernel and s -> w + V[:, k:] @ s maps the
-    (dim - k)-torus isomorphically onto ``comp`` (w its witness).  On it
-    {chi @ u = b} reads c @ s = b - chi @ w with c = chi @ V[:, k:]: for
-    c = 0 the hypersurface contains ``comp`` or misses it, and otherwise
-    its trace has g = gcd(c) components, the local hypersurfaces
-    (c/g, (b - chi @ w + t)/g) for t < g; it splits ``comp`` when g > 1.
-    A step whose local hypersurfaces all came from earlier steps is left
-    out.  The values are integers over one denominator, and each local
-    hypersurface's value is kept reduced.
+    In the frame of :func:`~toricarr.arrangement.local_traces` a
+    hypersurface with c = 0 contains ``comp`` or misses it, and otherwise
+    its trace is g = gcd(c) local hypersurfaces; it splits ``comp`` when
+    g > 1.  A step whose local hypersurfaces all came from earlier steps is
+    left out.
     """
-    k = comp.codim
-    if k == len(comp.witness):
+    if comp.dim == 0:
         return False, []
-    cols = list(zip(*(row[k:] for row in snf(comp.sat_basis).V.entries)))
-    den = lcm(*(h.b.denominator for h in hyps), *(x.denominator for x in comp.witness))
-    w = [x.numerator * (den // x.denominator) for x in comp.witness]
     split = False
     seen: set = set()
     out = []
-    for h in hyps:
-        c = [sum(map(mul, h.chi, col)) for col in cols]
-        g = gcd(*c)
-        if not g:
+    for h, trace in zip(hyps, local_traces(comp.sat_basis, comp.values, hyps)):
+        if trace is None:
             continue
-        split = split or g > 1
-        sign = 1 if next(x for x in c if x) > 0 else -1
-        local = tuple(sign * x // g for x in c)
-        v = h.b.numerator * (den // h.b.denominator) - sum(map(mul, h.chi, w))
-        m = g * den
-        keys = []
-        for t in range(g):
-            num = sign * (v + t * den) % m
-            r = gcd(num, m)
-            keys.append((local, num // r, m // r))
+        local, pairs = trace
+        split = split or len(pairs) > 1
+        keys = [(local, pair) for pair in pairs]
         if seen.issuperset(keys):
             continue
         seen.update(keys)
@@ -275,8 +244,10 @@ def build_poset(arr: ToricArrangement) -> IntersectionPoset:
     W of C ∩ K is recorded as a child of C, on the canonical instance of W,
     and has codim(C) + 1.  When W ⊊ C, some K contains W but not C, and W
     lies in a component of C ∩ K; so every strict containment is a chain of
-    such edges, and ``strict_below`` is their transitive closure, taken
-    over the codimension-sorted components with one bitmask per component.
+    such edges, and the edges are exactly the covers.  Over the
+    codimension-sorted components, one bitmask per component holds its
+    strict ancestors (the union over its cover parents p of p and p's
+    ancestors), and mu(T, W) is minus the sum of mu over W's ancestors.
 
     The sweep expands every component, so it also gives the unimodularity
     verdict: the arrangement is unimodular iff no hypersurface K splits a
@@ -294,18 +265,21 @@ def build_poset(arr: ToricArrangement) -> IntersectionPoset:
     for i, k in enumerate(order):
         pos[k] = i
     above = []
-    below = []
+    mobius = []
     for i, k in enumerate(order):
         mask = 0
         for p in parents[k]:
             mask |= above[pos[p]] | (1 << pos[p])
         above.append(mask)
+        mu = 0
         while mask:
             low = mask & -mask
-            below.append((i, low.bit_length() - 1))
+            mu -= mobius[low.bit_length() - 1]
             mask ^= low
-    return IntersectionPoset(arr.dim, tuple(found[k] for k in order), frozenset(below),
-                             not any(splits))
+        mobius.append(mu if i else 1)
+    covers = sorted((pos[k], pos[p]) for k in range(len(found)) for p in parents[k])
+    return IntersectionPoset(arr.dim, tuple(found[k] for k in order), tuple(covers),
+                             tuple(mobius), not any(splits))
 
 
 def is_unimodular(arr: ToricArrangement) -> bool:

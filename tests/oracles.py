@@ -171,6 +171,46 @@ def dr_poincare_reference(arr, ordering):
     return total
 
 
+def _completion_to_basis(chi):
+    """Unimodular V with chi @ V = (1, 0, ..., 0), for primitive chi."""
+    row = IntMatrix.from_rows([chi])
+    res = snf(row)
+    if res.D.entries[0][0] != 1:
+        raise ValueError(f"character {chi} is not primitive")
+    v = [list(r) for r in res.V.entries]
+    if res.U.entries[0][0] == -1:
+        for r in v:
+            r[0] = -r[0]
+    return IntMatrix.from_rows(v)
+
+
+def _trace(arr, i, v, r):
+    """Components of K_r ∩ K_i as hypersurfaces of K_i, in the coordinates
+    of ``v = _completion_to_basis(chi_i)``: component t of the g = gcd of
+    the tail of chi_r @ V at position t; empty for r == i and for K_r
+    parallel to K_i."""
+    hi, hr = arr.hypersurfaces[i], arr.hypersurfaces[r]
+    prime = v.transpose().mul_vec(hr.chi)
+    head, tail = prime[0], prime[1:]
+    b = mod1(hr.b - head * hi.b)
+    if not any(tail):
+        # K_r is K_i or parallel to it; a parallel one is distinct, so disjoint
+        assert r == i or b != 0, "duplicate hypersurface escaped arrangement validation"
+        return ()
+    g = gcd(*tail)
+    chi0 = tuple(x // g for x in tail)
+    return tuple(Hypersurface(chi0, Fraction(b + t, g)) for t in range(g))
+
+
+def traces_reference(arr, i):
+    """``traces(arr, i)`` through a completion of chi_i to a unimodular
+    basis: V with chi_i @ V = e_1 maps K_i onto the torus of the last
+    dim - 1 coordinates, and entry r lists the g components of K_r ∩ K_i
+    (g the gcd of the tail of chi_r @ V), component t at position t."""
+    v = _completion_to_basis(arr.hypersurfaces[i].chi)
+    return tuple(_trace(arr, i, v, r) for r in range(arr.n))
+
+
 def subset_sweep_components(arr):
     """Every component of every subset intersection, by the 2^n sweep."""
     chars = arr.char_matrix()
@@ -261,7 +301,9 @@ def intersect_system_reference(a, b):
 def poset_reference(arr):
     """The intersection poset by the layered sweep with
     :func:`intersect_system_reference`, ordered by all-pairs
-    ``component_contains`` tests."""
+    ``component_contains`` tests: the covers are the comparable pairs with
+    no component strictly between, and mu(T, W) is minus the sum of mu over
+    the components strictly containing W."""
     torus = full_torus(arr.dim)
     seen = {torus}
     frontier = [torus]
@@ -280,15 +322,12 @@ def poset_reference(arr):
     comps = tuple(sorted(seen, key=lambda c: (c.codim, c.sat_basis.entries, c.values)))
     below = frozenset((i, j) for i, ci in enumerate(comps) for j, cj in enumerate(comps)
                       if ci.codim > cj.codim and component_contains(ci, cj))
-    return IntersectionPoset(arr.dim, comps, below, unimodular_by_subsets(arr))
-
-
-def covers_reference(poset):
-    """Pairs of ``strict_below`` with no component strictly between."""
-    below = poset.strict_below
-    return tuple((i, j) for i, j in sorted(below)
-                 if not any((i, k) in below and (k, j) in below
-                            for k in range(len(poset.components))))
+    covers = tuple((i, j) for i, j in sorted(below)
+                   if not any((i, k) in below and (k, j) in below for k in range(len(comps))))
+    mobius: list[int] = []
+    for i in range(len(comps)):
+        mobius.append(-sum(mobius[j] for j in range(i) if (i, j) in below) if i else 1)
+    return IntersectionPoset(arr.dim, comps, covers, tuple(mobius), unimodular_by_subsets(arr))
 
 
 def unimodular_by_definition(arr):

@@ -18,7 +18,7 @@ from toricarr.arrangement import (
 from toricarr.lattice import IntMatrix, is_primitive
 from toricarr.poset import build_poset
 
-from oracles import pair_step_counts, random_arrangement
+from oracles import pair_step_counts, random_arrangement, traces_reference
 
 EX_FOUR_LINES = """\
 torus 2
@@ -206,6 +206,18 @@ def test_traces_entries():
     assert {(h.chi, h.b) for h in tr[0]} == {((1,), Fraction(k, 3)) for k in range(3)}
     # parallel hypersurfaces are disjoint
     assert traces(parse("torus 2\nhyp 1 0 @ 0/1\nhyp 1 0 @ 1/2\n"), 0) == ((), ())
+
+
+def test_traces_match_reference():
+    """Same entries in the same order as the completion-to-basis frame of
+    ``traces_reference``, component t at position t."""
+    rng = random.Random(5)
+    arrs = [four_lines(), two_curves(), weyl("G2", 2), weyl("B", 3), weyl("C", 3),
+            weyl("D", 4), braid(4)]
+    arrs += [random_arrangement(rng, max_l=4, max_n=7) for _ in range(300)]
+    for arr in arrs:
+        for i in range(arr.n):
+            assert traces(arr, i) == traces_reference(arr, i)
 
 
 def test_restrict_is_union_of_traces():

@@ -16,7 +16,6 @@ from toricarr.lattice import (
     row_basis,
     saturation,
     snf,
-    vec_mul,
 )
 
 from oracles import det, is_unimodular_matrix
@@ -176,7 +175,7 @@ def test_left_kernel_three_rows():
     a = M([[1, 1], [1, -1], [2, 0]])
     k = left_kernel(a)
     assert k.rows == 1
-    assert vec_mul(k.row(0), a) == (0, 0)
+    assert a.transpose().mul_vec(k.row(0)) == (0, 0)
     assert in_row_lattice(k, (1, 1, -1))
 
 
@@ -187,7 +186,7 @@ def test_left_kernel_random():
         k = left_kernel(a)
         assert k.rows == a.rows - rank(a)
         for r in k.entries:
-            assert vec_mul(r, a) == (0,) * a.cols
+            assert a.transpose().mul_vec(r) == (0,) * a.cols
         # kernel lattice is saturated, hence fixed by saturation
         if a.rows:
             assert saturation(k) == k
