@@ -9,12 +9,14 @@ arithmetic mod 1 (log coordinates).
 ``(chi, b)`` and ``(-chi, -b mod 1)`` cut out the same set; hypersurfaces are
 normalized to the representative whose first nonzero exponent is positive.
 
-Restriction is coded once, in :func:`local_traces`: it writes each
+Restriction is coded once, in :class:`LocalFrame`: it writes each
 hypersurface's trace on a component (here K_i, in the poset sweep any
-component) in that component's own coordinates.  Restriction to a
-hypersurface K_i yields a ``ToricArrangement`` in a torus of one dimension
-less: :func:`traces` gives the components each hypersurface cuts on K_i,
-and :func:`restrict` their ordered union over a prefix.
+component) in that component's own coordinates, and gives, for each piece
+the trace cuts, the character it adds to the label and a point on it.
+Restriction to a hypersurface K_i yields a ``ToricArrangement`` in a torus
+of one dimension less: :func:`traces` gives the components each
+hypersurface cuts on K_i, and :func:`restrict` their ordered union over a
+prefix.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .lattice import IntMatrix, is_primitive, snf
+from .lattice import IntMatrix, bezout, is_primitive, snf
 
 
 class ParseError(ValueError):
@@ -280,58 +282,93 @@ def weyl(family: str, rank_: int, simple_only: bool = False) -> ToricArrangement
 
 # -- restriction ----------------------------------------------------------------
 
-def local_traces(basis: IntMatrix, values, hyps):
-    """Trace of each hypersurface on the component {S @ u = values}, in
-    the component's own coordinates.
+class LocalFrame:
+    """The component {S @ u = values} as a torus in its own coordinates.
 
     ``basis`` is a saturated label basis S (k rows, values in Q/Z).  Its
     Smith form U @ S @ V = [I_k | 0] gives the frame: the base point
     w = V[:, :k] @ U @ values lies on the component, and s -> w + V[:, k:] @ s
     maps the (dim - k)-torus onto it.  There {chi @ u = b} reads
-    c @ s = b - chi @ w with c = chi @ V[:, k:].  Yields, per hypersurface,
-    None when c = 0 (it contains the component or misses it), and otherwise
-    the sign-normalised local character c/g, g = gcd(c), with the values of
-    its g local hypersurfaces as reduced pairs (numerator, denominator):
-    value t is sign * (v + t)/g mod 1, v = b - chi @ w reduced mod 1.
+    c @ s = b - chi @ w with c = chi @ V[:, k:] (:meth:`trace`).  The
+    sub-torus {c' @ s = value} of a primitive c' is the component whose
+    label lattice is S + Z chi' with chi' = c' @ (V^-1)[k:, :] (:meth:`lift`)
+    and through the point w + V[:, k:] @ (value * y), c' @ y = 1
+    (:meth:`points`).
     """
-    k = basis.rows
-    res = snf(basis)
-    den = lcm(*(x.denominator for x in values), *(h.b.denominator for h in hyps))
-    scaled = [x.numerator * (den // x.denominator) for x in values]
-    y = [sum(map(mul, row, scaled)) for row in res.U.entries]
-    w = [sum(map(mul, row[:k], y)) for row in res.V.entries]
-    cols = list(zip(*(row[k:] for row in res.V.entries)))
-    for h in hyps:
-        c = [sum(map(mul, h.chi, col)) for col in cols]
+
+    def __init__(self, basis: IntMatrix, values):
+        k = basis.rows
+        res = snf(basis)
+        self._basis, self._u = basis, res.U.entries
+        self._den = lcm(*(x.denominator for x in values))
+        scaled = [x.numerator * (self._den // x.denominator) for x in values]
+        y = [sum(map(mul, row, scaled)) for row in res.U.entries]
+        self._head = [row[:k] for row in res.V.entries]
+        self._tail = [row[k:] for row in res.V.entries]
+        self._w = [sum(map(mul, row, y)) for row in self._head]   # den * w
+        self._cols = list(zip(*self._tail))
+
+    def trace(self, h: Hypersurface):
+        """None when c = 0 (``h`` contains the component or misses it), and
+        otherwise the sign-normalised local character c/g, g = gcd(c), with
+        the values of its g local hypersurfaces as reduced pairs (numerator,
+        denominator): value t is sign * (v + t)/g mod 1, v = b - chi @ w
+        reduced mod 1."""
+        c = [sum(map(mul, h.chi, col)) for col in self._cols]
         g = gcd(*c)
         if not g:
-            yield None
-            continue
+            return None
         sign = 1 if next(x for x in c if x) > 0 else -1
-        v = (h.b.numerator * (den // h.b.denominator) - sum(map(mul, h.chi, w))) % den
+        den = lcm(self._den, h.b.denominator)
+        v = (h.b.numerator * (den // h.b.denominator)
+             - sum(map(mul, h.chi, self._w)) * (den // self._den)) % den
         m = g * den
         pairs = []
         for t in range(g):
             num = sign * (v + t * den) % m
             r = gcd(num, m)
             pairs.append((num // r, m // r))
-        yield tuple(sign * x // g for x in c), tuple(pairs)
+        return tuple(sign * x // g for x in c), tuple(pairs)
+
+    def lift(self, chi) -> list[int]:
+        """chi' = +-c' @ (V^-1)[k:, :] for the local character c' of ``chi``.
+
+        chi = a @ V^-1 with a = chi @ V, and (V^-1)[:k, :] = U @ S, so
+        chi - (chi @ V[:, :k] @ U) @ S = c @ (V^-1)[k:, :] = +-g * chi', and
+        V^-1 is never formed.  S + Z chi' is saturated: Z^l / S is free and
+        c' is primitive.
+        """
+        a = [sum(map(mul, chi, col)) for col in zip(*self._head)]
+        z = [sum(map(mul, a, col)) for col in zip(*self._u)]
+        t = [x - sum(map(mul, z, col)) for x, col in zip(chi, zip(*self._basis.entries))]
+        g = gcd(*t)
+        return [x // g for x in t]
+
+    def points(self, local, pairs):
+        """For each value pair (num, d), a point of the component on
+        {local @ s = num/d} as (numerators, common denominator)."""
+        y = bezout(local)
+        ty = [sum(map(mul, row, y)) for row in self._tail]
+        for num, d in pairs:
+            m = lcm(self._den, d)
+            a, b = m // self._den, num * (m // d)
+            yield [x * a + t * b for x, t in zip(self._w, ty)], m
 
 
 def traces(arr: ToricArrangement, i: int) -> tuple[tuple[Hypersurface, ...], ...]:
     """Trace of every hypersurface on hypersurface ``i``, 0-based.
 
     K_i = {chi_i @ u = b_i} becomes a torus of dimension ``dim - 1`` in the
-    frame of :func:`local_traces`.  Entry r lists the g connected components
+    frame of :class:`LocalFrame`.  Entry r lists the g connected components
     of K_r ∩ K_i (g the gcd of chi_r restricted to K_i) as hypersurfaces of
     that torus, component t at position t; it is empty for r == i and for
     K_r parallel to K_i.
     """
     hi = arr.hypersurfaces[i]
-    basis = IntMatrix(1, arr.dim, (hi.chi,))
+    frame = LocalFrame(IntMatrix(1, arr.dim, (hi.chi,)), (hi.b,))
     return tuple(() if tr is None else
                  tuple(Hypersurface(tr[0], Fraction(num, d)) for num, d in tr[1])
-                 for tr in local_traces(basis, (hi.b,), arr.hypersurfaces))
+                 for tr in map(frame.trace, arr.hypersurfaces))
 
 
 def _union(trace, prefix) -> tuple[Hypersurface, ...]:

@@ -319,6 +319,66 @@ def saturation_from_snf(a: IntMatrix, res: SNFResult) -> IntMatrix:
     return row_basis(IntMatrix(len(d), a.cols, rows))
 
 
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = s*a + t*b = gcd(a, b) >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return (-a, -s0, -t0) if a < 0 else (a, s0, t0)
+
+
+def bezout(v) -> tuple[int, ...]:
+    """Integers y with v @ y = gcd(v), by extended gcds along the entries."""
+    g, y = 0, []
+    for x in v:
+        g, s, t = _xgcd(g, x)
+        y = [s * yj for yj in y]
+        y.append(t)
+    return tuple(y)
+
+
+def hnf_add_row(h: IntMatrix, v) -> IntMatrix:
+    """Canonical HNF basis of the row lattice of ``h`` and the row ``v``.
+
+    ``h`` must be an HNF row basis (as produced by :func:`row_basis`).  The
+    row is merged in column by column: at a pivot column of ``h`` one
+    extended gcd combines it with that pivot row; at any other column it
+    becomes a new pivot row.  Entries above the pivots are then reduced as
+    in :func:`hnf`; no transform is kept.
+    """
+    rows = [list(r) for r in h.entries]
+    piv = [c for _, c in pivot_positions(h)]
+    v = [int(x) for x in v]
+    if len(v) != h.cols:
+        raise ValueError("row length mismatch")
+    i = 0
+    while any(v):
+        c = next(j for j, x in enumerate(v) if x)
+        while i < len(rows) and piv[i] < c:
+            i += 1
+        if i == len(rows) or piv[i] > c:
+            rows.insert(i, v if v[c] > 0 else [-x for x in v])
+            piv.insert(i, c)
+            break
+        r, a, b = rows[i], rows[i][c], v[c]
+        if b % a:
+            g, s, t = _xgcd(a, b)
+            rows[i] = [s * x + t * y for x, y in zip(r, v)]
+            v = [(a // g) * y - (b // g) * x for x, y in zip(r, v)]
+        else:
+            v = [y - (b // a) * x for x, y in zip(r, v)]
+        i += 1
+    for r, c in enumerate(piv):
+        for i in range(r):
+            q = rows[i][c] // rows[r][c]
+            if q:
+                rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
+    return _freeze(rows, h.cols)
+
+
 def is_primitive(v) -> bool:
     """True iff the gcd of the entries is 1.  The zero vector is rejected."""
     g = 0

@@ -8,20 +8,23 @@ convenience and never takes part in comparisons.
 One Smith normal form per character system gives everything: consistency
 and the component count (the product of the divisors), the witnesses by
 back-substitution in integers over one common denominator, and the label
-lattice (:func:`~toricarr.lattice.saturation_from_snf`).  The order comes
-from the layered sweep of :func:`build_poset`, which records each component
-as a child of the components it was cut from; no pair of components is
-compared for containment.  Those edges are the covers of the poset, and the
-Mobius values from the full torus are summed along them, so the poset
-stores both and never builds its set of comparable pairs.
+lattice (:func:`~toricarr.lattice.saturation_from_snf`); that is
+:func:`intersect_system`.  The poset needs no system solved: the order
+comes from the layered sweep of :func:`build_poset`, which records each
+component as a child of the components it was cut from; no pair of
+components is compared for containment.  Those edges are the covers of the
+poset, and the Mobius values from the full torus are summed along them, so
+the poset stores both and never builds its set of comparable pairs.
 
-The sweep looks at each component C in its own coordinates: the frame of
-:func:`~toricarr.arrangement.local_traces` (one Smith form of C's label
+The sweep looks at each component C in its own coordinates: the
+:class:`~toricarr.arrangement.LocalFrame` of C (one Smith form of C's label
 basis, the same routine that gives the deletion-restriction traces) makes
 C a torus, and each hypersurface restricts to a character c of it.  A
-hypersurface with c = 0 contains C or misses it, and one whose trace on C
-consists of local hypersurfaces that earlier hypersurfaces already cut is
-skipped; only the other steps solve a character system.
+hypersurface with c = 0 contains C or misses it; otherwise it traces
+g = gcd(c) local hypersurfaces, each of them a child of C, and the frame
+gives each child's label (one row added to C's HNF basis) and a point on
+it.  A local hypersurface that an earlier hypersurface already traced on C
+is skipped.
 
 The same frame decides unimodularity (every subset intersection empty or
 connected): the arrangement is unimodular iff no hypersurface K splits a
@@ -38,11 +41,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
-from .arrangement import Hypersurface, ToricArrangement, local_traces, mod1
-from .lattice import IntMatrix, in_row_lattice, saturation_from_snf, snf
+from .arrangement import Hypersurface, LocalFrame, ToricArrangement, mod1
+from .lattice import IntMatrix, hnf_add_row, in_row_lattice, saturation_from_snf, snf
 from .polynomial import Polynomial
 
 
@@ -94,14 +97,15 @@ def hypersurface_contains(comp: Component, h: Hypersurface) -> bool:
 def intersect_system(a: IntMatrix, b) -> list[Component]:
     """Connected components of {z : z^(row_i) = exp(2*pi*i*b_i) for all i}.
 
-    Returns the empty list when the system is inconsistent (some integer
-    left-kernel combination of the rows has a non-integral value).  Otherwise
-    the component count is the product of the elementary divisors of ``a``,
-    and witnesses come from Smith-form back-substitution with free
-    coordinates pinned to zero, in integers over the one denominator
-    den * lcm(d), den being the lcm of the denominators of ``b``; each
-    ``Fraction`` is built once, for the ``Component``.  The saturated label
-    lattice comes from the same Smith form.
+    Solves one system from scratch; the sweep of :func:`build_poset` does
+    not call it.  Returns the empty list when the system is inconsistent
+    (some integer left-kernel combination of the rows has a non-integral
+    value).  Otherwise the component count is the product of the elementary
+    divisors of ``a``, and witnesses come from Smith-form back-substitution
+    with free coordinates pinned to zero, in integers over the one
+    denominator den * lcm(d), den being the lcm of the denominators of
+    ``b``; each ``Fraction`` is built once, for the ``Component``.  The
+    saturated label lattice comes from the same Smith form.
     """
     if len(b) != a.rows:
         raise ValueError("one value per character row is required")
@@ -169,58 +173,58 @@ def _label_key(c: Component):
     return (c.codim, c.sat_basis.entries, c.values)
 
 
-def _steps(comp: Component, hyps) -> tuple[bool, list[Hypersurface]]:
-    """Whether some hypersurface splits ``comp``, and the hypersurfaces whose
-    step on ``comp`` may record something new.
-
-    In the frame of :func:`~toricarr.arrangement.local_traces` a
-    hypersurface with c = 0 contains ``comp`` or misses it, and otherwise
-    its trace is g = gcd(c) local hypersurfaces; it splits ``comp`` when
-    g > 1.  A step whose local hypersurfaces all came from earlier steps is
-    left out.
-    """
-    if comp.dim == 0:
-        return False, []
-    split = False
-    seen: set = set()
-    out = []
-    for h, trace in zip(hyps, local_traces(comp.sat_basis, comp.values, hyps)):
-        if trace is None:
-            continue
-        local, pairs = trace
-        split = split or len(pairs) > 1
-        keys = [(local, pair) for pair in pairs]
-        if seen.issuperset(keys):
-            continue
-        seen.update(keys)
-        out.append(h)
-    return split, out
+def _reduced(x: int, m: int) -> tuple[int, int]:
+    x %= m
+    r = gcd(x, m)
+    return x // r, m // r
 
 
 def _sweep(arr: ToricArrangement, found: list[Component], parents: list[set[int]]):
-    """Expand every component of ``arr`` layer by layer, from ``found[0]``.
+    """Expand every component of ``arr`` layer by layer, from the full torus
+    ``found == [full_torus(arr.dim)]``.
 
-    For each component C in turn, yields whether some hypersurface splits C
-    (:func:`_steps`), before solving C's steps.  Each component W of a step
-    C ∩ K is appended to ``found`` on first sight, with an empty set in
-    ``parents``, and C's index is added to the parents of W.
+    Each component C is expanded in its :class:`~toricarr.arrangement.LocalFrame`,
+    where each hypersurface K with c != 0 traces g = gcd(c) local
+    hypersurfaces (c', value).  Yields whether some K splits C (g > 1)
+    before C's children are built.  A local key (c', value) that an earlier
+    K already traced is left out; each other one names a child W of C: its
+    label basis is the HNF of [S; chi'] (``hnf_add_row``, chi' = chi_K when
+    g = 1, else ``lift``), a point of it comes from ``points``, and its
+    values are the label rows at that point.  W is looked up by its integer
+    label; on first sight its ``Component`` is appended to ``found``, with
+    an empty set in ``parents``.  C's index is added to the parents of W.
     """
-    index = {c: k for k, c in enumerate(found)}
+    hyps = arr.hypersurfaces
+    index = {((), ()): 0}
     frontier = [0]
     while frontier:
         nxt = []
         for p in frontier:
             comp = found[p]
-            split, steps = _steps(comp, arr.hypersurfaces)
-            yield split
-            for h in steps:
-                sys_a = comp.sat_basis.with_row(h.chi)
-                sys_b = comp.values + (h.b,)
-                for w in intersect_system(sys_a, sys_b):
-                    k = index.get(w)
+            if comp.dim == 0:
+                yield False
+                continue
+            frame = LocalFrame(comp.sat_basis, comp.values)
+            steps = [(h, tr) for h in hyps if (tr := frame.trace(h)) is not None]
+            yield any(len(pairs) > 1 for _, (_, pairs) in steps)
+            seen: set = set()
+            for h, (local, pairs) in steps:
+                new = [pair for pair in pairs if (local, pair) not in seen]
+                if not new:
+                    continue
+                seen.update((local, pair) for pair in new)
+                chi = h.chi if len(pairs) == 1 else frame.lift(h.chi)
+                basis = hnf_add_row(comp.sat_basis, chi)
+                for u, m in frame.points(local, new):
+                    values = tuple(_reduced(sum(map(mul, row, u)), m)
+                                   for row in basis.entries)
+                    key = (basis.entries, values)
+                    k = index.get(key)
                     if k is None:
-                        k = index[w] = len(found)
-                        found.append(w)
+                        k = index[key] = len(found)
+                        found.append(Component(
+                            basis, tuple(Fraction(x, d) for x, d in values), comp.dim - 1,
+                            tuple(Fraction(x % m, m) for x in u)))
                         parents.append(set())
                         nxt.append(k)
                     parents[k].add(p)
@@ -231,23 +235,23 @@ def build_poset(arr: ToricArrangement) -> IntersectionPoset:
     """Enumerate every connected component of every intersection.
 
     Works layer by layer (:func:`_sweep`): each known component C is
-    intersected with each hypersurface K in the frame of C (:func:`_steps`),
-    and the components of C ∩ K found by :func:`intersect_system` are
-    deduplicated by canonical label.  This reaches every component of every
-    subset intersection (the exhaustive subset sweep is kept in the test
-    suite as an oracle).  A step is left out when K contains C or misses
-    it, and when each component of C ∩ K is, as a local hypersurface of C,
-    a component of C ∩ K' for an earlier K': that step of K' recorded it
-    (or, left out itself, an earlier one did), with its edge to C, so the
-    step of K would record nothing new.  The components, their witnesses
-    and their order are therefore those of the full sweep.  Each component
-    W of C ∩ K is recorded as a child of C, on the canonical instance of W,
-    and has codim(C) + 1.  When W ⊊ C, some K contains W but not C, and W
-    lies in a component of C ∩ K; so every strict containment is a chain of
-    such edges, and the edges are exactly the covers.  Over the
-    codimension-sorted components, one bitmask per component holds its
-    strict ancestors (the union over its cover parents p of p and p's
-    ancestors), and mu(T, W) is minus the sum of mu over W's ancestors.
+    intersected with each hypersurface K in the frame of C, and each
+    component of C ∩ K, read off the frame, is deduplicated by canonical
+    label.  This reaches every component of every subset intersection (the
+    exhaustive subset sweep is kept in the test suite as an oracle).  K
+    adds nothing when it contains C or misses it, and a component of C ∩ K
+    is left out when it is, as a local hypersurface of C, a component of
+    C ∩ K' for an earlier K': that step recorded it, with its edge to C.
+    The components and their order are therefore those of the full sweep;
+    each witness is the point the frame gives on the first sight of its
+    component.  Each component W of C ∩ K is recorded as a child of C, on
+    the canonical instance of W, and has codim(C) + 1.  When W ⊊ C, some K
+    contains W but not C, and W lies in a component of C ∩ K; so every
+    strict containment is a chain of such edges, and the edges are exactly
+    the covers.  Over the codimension-sorted components, one bitmask per
+    component holds its strict ancestors (the union over its cover parents
+    p of p and p's ancestors), and mu(T, W) is minus the sum of mu over W's
+    ancestors.
 
     The sweep expands every component, so it also gives the unimodularity
     verdict: the arrangement is unimodular iff no hypersurface K splits a

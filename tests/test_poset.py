@@ -10,6 +10,7 @@ from toricarr.poset import (
     build_poset,
     component_contains,
     full_torus,
+    hypersurface_contains,
     intersect_system,
     is_unimodular,
 )
@@ -237,10 +238,20 @@ POSET_IDS = ["four_lines", "two_curves", "A2", "A3", "A4", "A5", "B3", "B4",
 
 
 def _assert_poset_matches_reference(arr):
+    """Labels, dims, order, covers, mu and the verdict exactly; witnesses
+    only as points: each lies on its component (every label row takes its
+    value there) and sees the same hypersurfaces as the reference's."""
     poset, ref = build_poset(arr), poset_reference(arr)
-    assert _full(poset.components) == _full(ref.components)
+    assert poset.components == ref.components
+    assert [c.dim for c in poset.components] == [c.dim for c in ref.components]
     assert poset.covers == ref.covers
     assert poset.mobius == ref.mobius
+    assert poset.unimodular == ref.unimodular
+    for comp, other in zip(poset.components, ref.components):
+        for h, value in zip(comp.sat_basis.entries, comp.values):
+            assert sum((a * b for a, b in zip(h, comp.witness)), Fraction(0)) % 1 == value
+        for h in arr.hypersurfaces:
+            assert hypersurface_contains(comp, h) == hypersurface_contains(other, h)
 
 
 @pytest.mark.parametrize("make", POSET_CORPUS, ids=POSET_IDS)
@@ -376,20 +387,37 @@ def test_sweep_verdict_matches_subsets_random():
 
 
 def test_is_unimodular_stops_at_first_split(monkeypatch):
-    """B5: one system per hypersurface at the torus, then the first
-    component expanded is split; the full sweep solves thousands."""
+    """B5: the torus and the first component expanded are the only frames
+    taken, since that component is split; the full sweep takes 932 (one per
+    component of positive dimension)."""
     import toricarr.poset as poset_module
 
-    calls = []
-    solve = poset_module.intersect_system
+    frames = []
+    frame = poset_module.LocalFrame
 
-    def counted(a, b):
-        calls.append(a)
-        return solve(a, b)
+    def counted(basis, values):
+        frames.append(basis)
+        return frame(basis, values)
 
-    monkeypatch.setattr(poset_module, "intersect_system", counted)
+    monkeypatch.setattr(poset_module, "LocalFrame", counted)
     assert not is_unimodular(weyl("B", 5))
-    assert len(calls) <= 25
+    assert len(frames) == 2
+
+
+def test_sweep_solves_no_system(monkeypatch):
+    """The sweep builds every child from its parent's frame."""
+    import toricarr.poset as poset_module
+
+    def refuse(a, b):
+        raise AssertionError("intersect_system reached from the sweep")
+
+    monkeypatch.setattr(poset_module, "intersect_system", refuse)
+    rng = random.Random(67)
+    arrs = [weyl("B", 4), weyl("D", 4), weyl("G2", 2), braid(5)]
+    arrs += [random_arrangement(rng, max_l=4, max_n=6) for _ in range(40)]
+    for arr in arrs:
+        build_poset(arr)
+        is_unimodular(arr)
 
 
 def test_is_unimodular_matches_maximal_minors():
