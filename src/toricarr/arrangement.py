@@ -308,20 +308,23 @@ class LocalFrame:
         self._w = [sum(map(mul, row, y)) for row in self._head]   # den * w
         self._cols = list(zip(*self._tail))
 
-    def trace(self, h: Hypersurface):
-        """None when c = 0 (``h`` contains the component or misses it), and
+    def trace(self, chi, b: Fraction):
+        """The trace of {chi @ u = b} on the component, for any integer row
+        ``chi`` (zero and non-primitive rows included).
+
+        None when c = 0 (the row is constant on the component), and
         otherwise the sign-normalised local character c/g, g = gcd(c), with
         the values of its g local hypersurfaces as reduced pairs (numerator,
         denominator): value t is sign * (v + t)/g mod 1, v = b - chi @ w
         reduced mod 1."""
-        c = [sum(map(mul, h.chi, col)) for col in self._cols]
+        c = [sum(map(mul, chi, col)) for col in self._cols]
         g = gcd(*c)
         if not g:
             return None
         sign = 1 if next(x for x in c if x) > 0 else -1
-        den = lcm(self._den, h.b.denominator)
-        v = (h.b.numerator * (den // h.b.denominator)
-             - sum(map(mul, h.chi, self._w)) * (den // self._den)) % den
+        den = lcm(self._den, b.denominator)
+        v = (b.numerator * (den // b.denominator)
+             - sum(map(mul, chi, self._w)) * (den // self._den)) % den
         m = g * den
         pairs = []
         for t in range(g):
@@ -336,11 +339,13 @@ class LocalFrame:
         chi = a @ V^-1 with a = chi @ V, and (V^-1)[:k, :] = U @ S, so
         chi - (chi @ V[:, :k] @ U) @ S = c @ (V^-1)[k:, :] = +-g * chi', and
         V^-1 is never formed.  S + Z chi' is saturated: Z^l / S is free and
-        c' is primitive.
+        c' is primitive.  On the full torus (k = 0) chi' is chi/g.
         """
         a = [sum(map(mul, chi, col)) for col in zip(*self._head)]
         z = [sum(map(mul, a, col)) for col in zip(*self._u)]
-        t = [x - sum(map(mul, z, col)) for x, col in zip(chi, zip(*self._basis.entries))]
+        t = list(chi)
+        for zi, row in zip(z, self._basis.entries):
+            t = [x - zi * y for x, y in zip(t, row)]
         g = gcd(*t)
         return [x // g for x in t]
 
@@ -368,7 +373,7 @@ def traces(arr: ToricArrangement, i: int) -> tuple[tuple[Hypersurface, ...], ...
     frame = LocalFrame(IntMatrix(1, arr.dim, (hi.chi,)), (hi.b,))
     return tuple(() if tr is None else
                  tuple(Hypersurface(tr[0], Fraction(num, d)) for num, d in tr[1])
-                 for tr in map(frame.trace, arr.hypersurfaces))
+                 for tr in (frame.trace(h.chi, h.b) for h in arr.hypersurfaces))
 
 
 def _union(trace, prefix) -> tuple[Hypersurface, ...]:

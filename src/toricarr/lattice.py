@@ -300,19 +300,13 @@ def left_kernel(a: IntMatrix) -> IntMatrix:
 def saturation(a: IntMatrix) -> IntMatrix:
     """HNF basis of the saturation of the row lattice of ``a`` in Z^cols.
 
-    The saturation is the set of integer vectors in the rational row span;
-    see :func:`saturation_from_snf`.
+    The saturation is the set of integer vectors in the rational row span.
+    From the Smith form U @ a = D @ V^-1, row i < r of U @ a is d_i times
+    row i of V^-1.  The first r rows of the unimodular V^-1 span a
+    saturated lattice with the rational span of ``a``, so their canonical
+    HNF basis is the answer.
     """
-    return saturation_from_snf(a, snf(a))
-
-
-def saturation_from_snf(a: IntMatrix, res: SNFResult) -> IntMatrix:
-    """Saturation of the row lattice of ``a`` from its Smith form ``res``.
-
-    From U @ a = D @ V^-1, row i < r of U @ a is d_i times row i of V^-1.
-    The first r rows of the unimodular V^-1 span a saturated lattice with
-    the rational span of ``a``, so their canonical HNF basis is the answer.
-    """
+    res = snf(a)
     d = res.divisors()
     rows = tuple(tuple(sum(x * y for x, y in zip(u, col)) // di for col in zip(*a.entries))
                  for u, di in zip(res.U.entries, d))

@@ -26,10 +26,6 @@ class Polynomial:
         return Polynomial((0,))
 
     @staticmethod
-    def one() -> "Polynomial":
-        return Polynomial((1,))
-
-    @staticmethod
     def binomial(k: int) -> "Polynomial":
         """(1 + t)^k."""
         from math import comb

@@ -5,28 +5,25 @@ that are constant on it (HNF basis) together with their values in Q/Z.  Two
 components are equal iff those labels agree; the stored witness point is a
 convenience and never takes part in comparisons.
 
-One Smith normal form per character system gives everything: consistency
-and the component count (the product of the divisors), the witnesses by
-back-substitution in integers over one common denominator, and the label
-lattice (:func:`~toricarr.lattice.saturation_from_snf`); that is
-:func:`intersect_system`.  The poset needs no system solved: the order
-comes from the layered sweep of :func:`build_poset`, which records each
-component as a child of the components it was cut from; no pair of
-components is compared for containment.  Those edges are the covers of the
-poset, and the Mobius values from the full torus are summed along them, so
-the poset stores both and never builds its set of comparable pairs.
-
-The sweep looks at each component C in its own coordinates: the
+A component C is cut by one step, in its own coordinates: the
 :class:`~toricarr.arrangement.LocalFrame` of C (one Smith form of C's label
 basis, the same routine that gives the deletion-restriction traces) makes
-C a torus, and each hypersurface restricts to a character c of it.  A
-hypersurface with c = 0 contains C or misses it; otherwise it traces
-g = gcd(c) local hypersurfaces, each of them a child of C, and the frame
-gives each child's label (one row added to C's HNF basis) and a point on
-it.  A local hypersurface that an earlier hypersurface already traced on C
-is skipped.
+C a torus, and a row chi restricts to a character c of it.  A row with
+c = 0 is constant on C, so C lies in the level set or misses it; otherwise
+the level set cuts g = gcd(c) pieces, and the frame gives each piece's
+label (one row added to C's HNF basis) and a point on it.
+:func:`intersect_system` is that step folded over the rows of a system,
+from the full torus.
 
-The same frame decides unimodularity (every subset intersection empty or
+The poset needs no system solved: the layered sweep of :func:`build_poset`
+takes the step for each component and each hypersurface, and records each
+piece as a child of the component it was cut from; no pair of components
+is compared for containment.  Those edges are the covers of the poset, and
+the Mobius values from the full torus are summed along them, so the poset
+stores both and never builds its set of comparable pairs.  A local
+hypersurface that an earlier hypersurface already traced on C is skipped.
+
+The same sweep decides unimodularity (every subset intersection empty or
 connected): the arrangement is unimodular iff no hypersurface K splits a
 component C, i.e. no c != 0 has g = gcd(c) > 1.  C is a component of the
 intersection of the hypersurfaces containing it, so when g > 1 the g
@@ -40,12 +37,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 
 from .arrangement import Hypersurface, LocalFrame, ToricArrangement, mod1
-from .lattice import IntMatrix, hnf_add_row, in_row_lattice, saturation_from_snf, snf
+from .lattice import IntMatrix, hnf_add_row, in_row_lattice
+from .lattice import snf  # noqa: F401  (toricarr.poset.snf is looked up by bench/)
 from .polynomial import Polynomial
 
 
@@ -64,71 +61,94 @@ class Component:
 
     sat_basis: IntMatrix
     values: tuple[Fraction, ...]
-    dim: int = field(compare=False)
     witness: tuple[Fraction, ...] = field(compare=False)
 
     @property
     def codim(self) -> int:
         return self.sat_basis.rows
 
+    @property
+    def dim(self) -> int:
+        return self.sat_basis.cols - self.sat_basis.rows
+
 
 def full_torus(dim: int) -> Component:
-    return Component(IntMatrix(0, dim, ()), (), dim, (Fraction(0),) * dim)
+    return Component(IntMatrix(0, dim, ()), (), (Fraction(0),) * dim)
+
+
+def _holds(comp: Component, chi, b) -> bool:
+    """True iff the row ``chi`` is constant on ``comp`` with value ``b`` mod 1."""
+    return in_row_lattice(comp.sat_basis, chi) and mod1(_dot(chi, comp.witness)) == b
 
 
 def component_contains(inner: Component, outer: Component) -> bool:
-    """True iff ``inner`` is a subset of ``outer``.
-
-    Containment holds when every character constant on ``outer`` is constant
-    on ``inner`` with the same value.
-    """
-    if not all(in_row_lattice(inner.sat_basis, h) for h in outer.sat_basis.entries):
-        return False
-    return all(mod1(_dot(h, inner.witness)) == outer.values[k]
-               for k, h in enumerate(outer.sat_basis.entries))
+    """True iff ``inner`` is a subset of ``outer``: every label row of
+    ``outer`` holds on ``inner``."""
+    return all(_holds(inner, h, b) for h, b in zip(outer.sat_basis.entries, outer.values))
 
 
 def hypersurface_contains(comp: Component, h: Hypersurface) -> bool:
     """True iff the hypersurface contains the whole component."""
-    return (in_row_lattice(comp.sat_basis, h.chi)
-            and mod1(_dot(h.chi, comp.witness)) == h.b)
+    return _holds(comp, h.chi, h.b)
+
+
+def _reduced(x: int, m: int) -> tuple[int, int]:
+    x %= m
+    r = gcd(x, m)
+    return x // r, m // r
+
+
+def _pieces(comp: Component, frame: LocalFrame, chi, split: bool, local, pairs):
+    """The pieces of ``comp`` on the local hypersurfaces (``local``, pair),
+    pair in ``pairs``, of the trace of the row ``chi`` in ``frame``: for
+    each pair the piece's label basis, its values as reduced pairs
+    (numerator, denominator), and a point on it as (numerators, common
+    denominator).
+
+    The label basis is the HNF of [S; chi'] (``hnf_add_row``).  ``split``
+    tells whether the whole trace has more than one piece (``pairs`` may
+    be part of it); then chi' is ``frame.lift(chi)``, else chi itself
+    (c is primitive).
+    """
+    if split:
+        chi = frame.lift(chi)
+    basis = hnf_add_row(comp.sat_basis, chi)
+    for u, m in frame.points(local, pairs):
+        yield basis, tuple(_reduced(sum(map(mul, row, u)), m) for row in basis.entries), u, m
+
+
+def _component(basis: IntMatrix, values, u, m) -> Component:
+    return Component(basis, tuple(Fraction(x, d) for x, d in values),
+                     tuple(Fraction(x % m, m) for x in u))
 
 
 def intersect_system(a: IntMatrix, b) -> list[Component]:
     """Connected components of {z : z^(row_i) = exp(2*pi*i*b_i) for all i}.
 
-    Solves one system from scratch; the sweep of :func:`build_poset` does
-    not call it.  Returns the empty list when the system is inconsistent
-    (some integer left-kernel combination of the rows has a non-integral
-    value).  Otherwise the component count is the product of the elementary
-    divisors of ``a``, and witnesses come from Smith-form back-substitution
-    with free coordinates pinned to zero, in integers over the one
-    denominator den * lcm(d), den being the lcm of the denominators of
-    ``b``; each ``Fraction`` is built once, for the ``Component``.  The
-    saturated label lattice comes from the same Smith form.
+    The rows are taken one at a time from the full torus, each by the
+    sweep's step: a row constant on a component keeps it or drops it, and
+    any other row cuts it into the pieces its trace names.  Returns the
+    empty list when the system is inconsistent.  A 0-dimensional
+    component's witness is the point itself, reduced mod 1.
     """
     if len(b) != a.rows:
         raise ValueError("one value per character row is required")
-    den = lcm(*(x.denominator for x in b))
-    scaled = [x.numerator * (den // x.denominator) % den for x in b]
-    res = snf(a)
-    d = res.divisors()
-    beta = [sum(map(mul, row, scaled)) for row in res.U.entries]
-    if any(x % den for x in beta[len(d):]):
-        return []
-    sat = saturation_from_snf(a, res)
-    big = den * lcm(*d)
-    scale = [big // (den * dj) for dj in d]
-    v = [row[:len(d)] for row in res.V.entries]
-    out = []
-    for t in product(*(range(dj) for dj in d)):
-        w = [(bj + tj * den) * s for bj, tj, s in zip(beta, t, scale)]
-        u = [sum(x * y for x, y in zip(row, w)) % big for row in v]
-        values = tuple(Fraction(sum(x * y for x, y in zip(h, u)) % big, big)
-                       for h in sat.entries)
-        out.append(Component(sat, values, a.cols - sat.rows,
-                             tuple(Fraction(x, big) for x in u)))
-    return out
+    comps = [full_torus(a.cols)]
+    for chi, x in zip(a.entries, b):
+        x = mod1(x)
+        cut = []
+        for comp in comps:
+            frame = LocalFrame(comp.sat_basis, comp.values)
+            tr = frame.trace(chi, x)
+            if tr is None:
+                if _holds(comp, chi, x):
+                    cut.append(comp)
+            else:
+                local, pairs = tr
+                cut.extend(_component(*piece) for piece in
+                           _pieces(comp, frame, chi, len(pairs) > 1, local, pairs))
+        comps = cut
+    return comps
 
 
 @dataclass(frozen=True)
@@ -173,12 +193,6 @@ def _label_key(c: Component):
     return (c.codim, c.sat_basis.entries, c.values)
 
 
-def _reduced(x: int, m: int) -> tuple[int, int]:
-    x %= m
-    r = gcd(x, m)
-    return x // r, m // r
-
-
 def _sweep(arr: ToricArrangement, found: list[Component], parents: list[set[int]]):
     """Expand every component of ``arr`` layer by layer, from the full torus
     ``found == [full_torus(arr.dim)]``.
@@ -187,12 +201,11 @@ def _sweep(arr: ToricArrangement, found: list[Component], parents: list[set[int]
     where each hypersurface K with c != 0 traces g = gcd(c) local
     hypersurfaces (c', value).  Yields whether some K splits C (g > 1)
     before C's children are built.  A local key (c', value) that an earlier
-    K already traced is left out; each other one names a child W of C: its
-    label basis is the HNF of [S; chi'] (``hnf_add_row``, chi' = chi_K when
-    g = 1, else ``lift``), a point of it comes from ``points``, and its
-    values are the label rows at that point.  W is looked up by its integer
-    label; on first sight its ``Component`` is appended to ``found``, with
-    an empty set in ``parents``.  C's index is added to the parents of W.
+    K already traced is left out; each other one names a child W of C,
+    whose label and point :func:`_pieces` gives.  W is looked up by its
+    integer label; on first sight its ``Component`` is appended to
+    ``found``, with an empty set in ``parents``.  C's index is added to the
+    parents of W.
     """
     hyps = arr.hypersurfaces
     index = {((), ()): 0}
@@ -205,7 +218,7 @@ def _sweep(arr: ToricArrangement, found: list[Component], parents: list[set[int]
                 yield False
                 continue
             frame = LocalFrame(comp.sat_basis, comp.values)
-            steps = [(h, tr) for h in hyps if (tr := frame.trace(h)) is not None]
+            steps = [(h, tr) for h in hyps if (tr := frame.trace(h.chi, h.b)) is not None]
             yield any(len(pairs) > 1 for _, (_, pairs) in steps)
             seen: set = set()
             for h, (local, pairs) in steps:
@@ -213,18 +226,13 @@ def _sweep(arr: ToricArrangement, found: list[Component], parents: list[set[int]
                 if not new:
                     continue
                 seen.update((local, pair) for pair in new)
-                chi = h.chi if len(pairs) == 1 else frame.lift(h.chi)
-                basis = hnf_add_row(comp.sat_basis, chi)
-                for u, m in frame.points(local, new):
-                    values = tuple(_reduced(sum(map(mul, row, u)), m)
-                                   for row in basis.entries)
+                split = len(pairs) > 1
+                for basis, values, u, m in _pieces(comp, frame, h.chi, split, local, new):
                     key = (basis.entries, values)
                     k = index.get(key)
                     if k is None:
                         k = index[key] = len(found)
-                        found.append(Component(
-                            basis, tuple(Fraction(x, d) for x, d in values), comp.dim - 1,
-                            tuple(Fraction(x % m, m) for x in u)))
+                        found.append(_component(basis, values, u, m))
                         parents.append(set())
                         nxt.append(k)
                     parents[k].add(p)
@@ -254,12 +262,7 @@ def build_poset(arr: ToricArrangement) -> IntersectionPoset:
     ancestors.
 
     The sweep expands every component, so it also gives the unimodularity
-    verdict: the arrangement is unimodular iff no hypersurface K splits a
-    component C into g = gcd(c) > 1 pieces (c being K's character
-    restricted to C's torus).  If g > 1, the pieces of C ∩ K are components
-    of the intersection of K and the hypersurfaces containing C; and a
-    minimal disconnected subset S' ∪ {K} has one component C' of ∩S', which
-    K splits.
+    verdict (see the module docstring): no hypersurface splits a component.
     """
     found = [full_torus(arr.dim)]
     parents: list[set[int]] = [set()]
@@ -287,15 +290,9 @@ def build_poset(arr: ToricArrangement) -> IntersectionPoset:
 
 
 def is_unimodular(arr: ToricArrangement) -> bool:
-    """True iff every subset intersection is empty or connected.
-
-    That holds iff no hypersurface K splits a component C of the poset,
-    i.e. iff gcd(c) <= 1 for K's character c restricted to C's torus.  When
-    g = gcd(c) > 1, C is a component of the intersection of the
-    hypersurfaces containing it, so the g components of C ∩ K are
-    components of that intersection with K added.  Conversely, a minimal
-    subset S' ∪ {K} with a disconnected intersection has ∩S' connected,
-    one component C', and C' ∩ K has g(C', K) > 1 components.  The sweep
-    of :func:`build_poset` is run until the first split.
+    """True iff every subset intersection is empty or connected, i.e. iff
+    no hypersurface splits a component of the poset (see the module
+    docstring).  The sweep of :func:`build_poset` is run until the first
+    split.
     """
     return not any(_sweep(arr, [full_torus(arr.dim)], [set()]))

@@ -20,7 +20,6 @@ from toricarr.poset import (
     component_contains,
     full_torus,
     hypersurface_contains,
-    intersect_system,
 )
 
 FOUR_LINES_TEXT = ("torus 2\nhyp 1 0 @ 0/1\nhyp 0 1 @ 0/1\n"
@@ -87,7 +86,7 @@ def local_lattice_poincare(arr):
 @lru_cache(maxsize=None)
 def _pair_labels(ha, hb):
     sys_a = IntMatrix(2, len(ha.chi), (ha.chi, hb.chi))
-    return frozenset(intersect_system(sys_a, (ha.b, hb.b)))
+    return frozenset(intersect_system_reference(sys_a, (ha.b, hb.b)))
 
 
 def pair_step_counts(arr, ordering):
@@ -219,7 +218,7 @@ def subset_sweep_components(arr):
     for size in range(1, arr.n + 1):
         for subset in combinations(range(arr.n), size):
             sub = IntMatrix(size, arr.dim, tuple(chars.entries[i] for i in subset))
-            found.update(intersect_system(sub, tuple(bs[i] for i in subset)))
+            found.update(intersect_system_reference(sub, tuple(bs[i] for i in subset)))
     return found
 
 
@@ -274,8 +273,9 @@ def _fraction_dot(ints, fracs):
 def intersect_system_reference(a, b):
     """Components of a character system in ``Fraction`` arithmetic: Smith
     back-substitution with free coordinates pinned to zero, the label lattice
-    from :func:`saturation_reference`.  Same components, witnesses included,
-    in the same order as ``intersect_system``."""
+    from :func:`saturation_reference`.  Same components as
+    ``intersect_system``; the witnesses of positive-dimensional components
+    and the list order may differ."""
     b = tuple(mod1(x) for x in b)
     if len(b) != a.rows:
         raise ValueError("one value per character row is required")
@@ -294,7 +294,7 @@ def intersect_system_reference(a, b):
             w[j] = Fraction(beta[j] + t[j], d[j])
         u = tuple(mod1(x) for x in res.V.mul_vec(w))
         values = tuple(mod1(_fraction_dot(h, u)) for h in sat.entries)
-        out.append(Component(sat, values, l - sat.rows, u))
+        out.append(Component(sat, values, u))
     return out
 
 

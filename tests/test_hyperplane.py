@@ -153,7 +153,7 @@ def test_top_local_multiplicity():
 def test_local_arrangement_rejects_foreign_component():
     arr = four_lines()
     from toricarr.poset import Component
-    bad = Component(IntMatrix.from_rows([[1, 0]]), (Fraction(1, 3),), 1,
+    bad = Component(IntMatrix.from_rows([[1, 0]]), (Fraction(1, 3),),
                     (Fraction(0), Fraction(0)))  # witness does not match value
     with pytest.raises(ValueError):
         local_arrangement(arr, bad)
