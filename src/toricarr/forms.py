@@ -6,6 +6,12 @@ per hypersurface).  Because those generators are honest differential forms,
 every linear relation among their wedge products already holds pointwise on
 the complement; sampling the wedge monomials at random points and computing a
 numerical null space therefore recovers the degree-2 relation space.
+
+The evaluation matrix is filled in place, in one pass over chunks of samples
+of bounded size: the points of all samples are drawn first, and each chunk's
+character values are tested, its covectors computed and its wedge products
+written straight into the matrix.  The null space comes from the SVD of the
+square factor R of the matrix's QR decomposition.
 """
 
 from __future__ import annotations
@@ -62,6 +68,25 @@ def _constant(b: Fraction) -> complex:
 
 
 _TINY = np.finfo(float).tiny
+# The batched test of sample_point's draws multiplies character values in
+# array arithmetic, which may round differently from sample_point's scalar
+# products in the last bits.  It accepts a draw only with room to spare: every
+# factor and partial product within 2^-1000 .. 2^1000, and every value at
+# least 1e-3 + _ROOM |chi(z)| away from its constant.  So a draw it accepts is
+# one that sample_point accepts too.
+_ROOM = 1e-6
+_LOW, _HIGH = 2.0 ** -1000, 2.0 ** 1000
+# Size in bytes of the temporaries of one chunk of samples in _evaluation_matrix.
+_CHUNK_BYTES = 1 << 20
+
+
+def _draw(rng, l: int):
+    """One draw of l coordinates: log2 of the moduli, then the arguments."""
+    return rng.uniform(-1.0, 1.0, l), rng.uniform(0.0, 2.0 * np.pi, l)
+
+
+def _point(log2_modulus, angle):
+    return 2.0 ** log2_modulus * np.exp(1j * angle)
 
 
 def sample_point(arr: ToricArrangement, seed) -> np.ndarray:
@@ -76,14 +101,27 @@ def sample_point(arr: ToricArrangement, seed) -> np.ndarray:
     rng = np.random.default_rng(seed)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         for _ in range(1000):
-            modulus = 2.0 ** rng.uniform(-1.0, 1.0, arr.dim)
-            angle = rng.uniform(0.0, 2.0 * np.pi, arr.dim)
-            z = modulus * np.exp(1j * angle)
+            z = _point(*_draw(rng, arr.dim))
             if all(cmath.isfinite(w) and abs(w) >= _TINY and abs(w - _constant(h.b)) >= 1e-3
                    for h in arr.hypersurfaces for w in (_char_value(h.chi, z),)):
                 return z
     raise SamplingError("1000 draws all fell within 1e-3 of a hypersurface "
                         "or out of floating-point range of a character")
+
+
+def _char_values(z: np.ndarray, exps: np.ndarray, consts: np.ndarray):
+    """chi_j(z) for every point row of z (c x l) and exponent row j, and per
+    point whether it passes sample_point's test with room to spare."""
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        factors = z[:, None, :] ** exps
+        w = np.ones(factors.shape[:2], dtype=complex)
+        inside = np.ones(factors.shape[:2], dtype=bool)
+        for k in range(z.shape[1]):     # sample_point's order of products
+            w = w * factors[:, :, k]
+            for size in (np.abs(factors[:, :, k]), np.abs(w)):
+                inside &= (size >= _LOW) & (size <= _HIGH)
+        inside &= np.abs(w - consts) >= 1e-3 + _ROOM * np.abs(w)
+    return w, np.all(inside, axis=1)
 
 
 def eval_generator(gen: FormGenerator, z: np.ndarray) -> np.ndarray:
@@ -105,22 +143,6 @@ def eval_generator(gen: FormGenerator, z: np.ndarray) -> np.ndarray:
         raise ZeroDivisionError("point lies on the hypersurface of this generator")
     factor = w / denom
     return factor * np.array(gen.chi, dtype=complex) / z
-
-
-def _monomial_blocks(arr: ToricArrangement, samples: int, seed):
-    """Yield one evaluation block per sample point [seed, k], k < samples.
-
-    Rows: the C(l, 2) components of Lambda^2; columns: the wedge monomials in
-    the lex order of :func:`wedge_monomials`.
-    """
-    gens = generators(arr)
-    p, q = np.triu_indices(arr.dim, 1)
-    a, b = np.triu_indices(len(gens), 1)
-    for k in range(samples):
-        z = sample_point(arr, [seed, k])
-        covs = np.array([eval_generator(g, z) for g in gens]).reshape(len(gens), arr.dim)
-        va, vb = covs[a], covs[b]
-        yield (va[:, p] * vb[:, q] - va[:, q] * vb[:, p]).T
 
 
 @dataclass
@@ -147,10 +169,42 @@ class RelationBasis:
 
 
 def _evaluation_matrix(arr: ToricArrangement, samples: int, seed) -> np.ndarray:
-    blocks = list(_monomial_blocks(arr, samples, seed))
-    if blocks:
-        return np.vstack(blocks)
-    return np.zeros((0, len(wedge_monomials(arr.dim, arr.n))), dtype=complex)
+    """The wedge monomials at the points sample_point(arr, [seed, k]), k < samples.
+
+    Rows k C(l,2) .. (k+1) C(l,2) - 1 are sample k's components of Lambda^2,
+    pairs p < q in lex order; columns are the monomials in the order of
+    :func:`wedge_monomials`.  Each sample's first draw comes from its own
+    default_rng([seed, k]), as in sample_point; the draws are tested together
+    per chunk, and a sample whose first draw fails is replayed by sample_point.
+    """
+    l, g = arr.dim, arr.dim + arr.n
+    a, b = np.triu_indices(g, 1)
+    pairs = tuple(zip(*np.triu_indices(l, 1)))
+    exps = np.array([h.chi for h in arr.hypersurfaces], dtype=float).reshape(arr.n, l)
+    consts = np.array([_constant(h.b) for h in arr.hypersurfaces], dtype=complex)
+    mat = np.empty((samples * len(pairs), len(a)), dtype=complex)
+    blocks = mat.reshape(samples, len(pairs), len(a))
+    log2_modulus, angle = np.empty((2, samples, l))
+    for k in range(samples):
+        log2_modulus[k], angle[k] = _draw(np.random.default_rng([seed, k]), l)
+    z = _point(log2_modulus, angle)
+    coords = np.arange(l)
+    step = max(1, _CHUNK_BYTES // (16 * (arr.n * (l + 4) + l * g + 5 * len(a))))
+    for chunk in (slice(start, start + step) for start in range(0, samples, step)):
+        w, ok = _char_values(z[chunk], exps, consts)
+        for k in np.flatnonzero(~ok).tolist():
+            z[chunk.start + k] = sample_point(arr, [seed, chunk.start + k])
+            w[k] = _char_values(z[chunk.start + k, None], exps, consts)[0][0]
+        zc = z[chunk].T
+        # cov[p, s, i]: slot p of generator i's covector at the chunk's sample s
+        # (see eval_generator).
+        cov = np.zeros((l, len(w), g), dtype=complex)
+        cov[coords, :, coords] = 1.0 / zc
+        cov[:, :, l:] = w / (w - consts) * exps.T[:, None, :] / zc[:, :, None]
+        for r, (p, q) in enumerate(pairs):
+            np.subtract(cov[p][:, a] * cov[q][:, b], cov[q][:, a] * cov[p][:, b],
+                        out=blocks[chunk, r])
+    return mat
 
 
 def degree2_relations(arr: ToricArrangement, samples: int | None = None,
@@ -163,8 +217,9 @@ def degree2_relations(arr: ToricArrangement, samples: int | None = None,
     ``tol * s_max``; raises ValueError unless 0 < tol < 1.
 
     For l >= 2 the matrix is tall (samples >= 3 C(l+n,2) and C(l,2) >= 1), so
-    the thin SVD already yields all C(l+n,2) right singular vectors; for
-    l <= 1 it has no rows and every monomial is a relation.
+    the factor R of its QR decomposition is square, with the same singular
+    values and right singular vectors; for l <= 1 it has no rows and every
+    monomial is a relation.
     """
     if not 0 < tol < 1:
         raise ValueError(f"tol must satisfy 0 < tol < 1, got {tol}")
@@ -178,8 +233,8 @@ def degree2_relations(arr: ToricArrangement, samples: int | None = None,
     if mat.shape[0] == 0 or n_monos == 0:
         return RelationBasis(np.eye(n_monos, dtype=complex), tol, samples,
                              np.zeros(0))
-    # Tall matrix: thin vh is the full square one, without the unused square U.
-    _, sing, vh = np.linalg.svd(mat, full_matrices=False)
+    # Neither the tall Q nor a tall U is formed.
+    _, sing, vh = np.linalg.svd(np.linalg.qr(mat, mode="r"))
     kept = int(np.sum(sing > tol * sing[0]))
     return RelationBasis(np.conj(vh[kept:]), tol, samples, sing)
 
@@ -197,8 +252,8 @@ def verify_relation(arr: ToricArrangement, coefficients, samples: int | None = N
     scale = np.linalg.norm(coeffs)
     if scale == 0:
         return True
-    for block in _monomial_blocks(arr, samples, seed):
-        residual = np.linalg.norm(block @ coeffs)
-        if residual >= tol * scale * max(np.linalg.norm(block), 1.0):
-            return False
-    return True
+    blocks = _evaluation_matrix(arr, samples, seed).reshape(
+        samples, arr.dim * (arr.dim - 1) // 2, len(monos))
+    residual = np.linalg.norm(blocks @ coeffs, axis=1)
+    size = np.maximum(np.linalg.norm(blocks, axis=(1, 2)), 1.0)
+    return not np.any(residual >= tol * scale * size)

@@ -9,7 +9,13 @@ import numpy as np
 
 from toricarr.arrangement import Hypersurface, ToricArrangement, mod1, parse, restrict, traces
 from toricarr.cohomology import DrHypothesisError, DrReport, dr_condition_check
-from toricarr.forms import eval_generator, wedge_monomials
+from toricarr.forms import (
+    RelationBasis,
+    eval_generator,
+    generators,
+    sample_point,
+    wedge_monomials,
+)
 from toricarr.hyperplane import top_local_multiplicity
 from toricarr.lattice import IntMatrix, left_kernel, snf
 from toricarr.polynomial import Polynomial
@@ -70,6 +76,58 @@ def monomial_matrix_reference(gens, monos, z):
         for row, (p, q) in enumerate(pairs):
             out[row, col] = va[p] * vb[q] - va[q] * vb[p]
     return out
+
+
+def degree2_relations_reference(arr, samples=None, tol=1e-8, seed=0):
+    """``degree2_relations`` by the per-sample path: one ``sample_point`` and
+    one ``eval_generator`` per generator for each sample, the blocks stacked,
+    and the thin SVD of the whole tall matrix."""
+    gens = generators(arr)
+    monos = wedge_monomials(arr.dim, arr.n)
+    if samples is None:
+        samples = 4 * len(monos)
+    p, q = np.triu_indices(arr.dim, 1)
+    a, b = np.triu_indices(len(gens), 1)
+    blocks = []
+    for k in range(samples):
+        z = sample_point(arr, [seed, k])
+        covs = np.array([eval_generator(g, z) for g in gens]).reshape(len(gens), arr.dim)
+        va, vb = covs[a], covs[b]
+        blocks.append((va[:, p] * vb[:, q] - va[:, q] * vb[:, p]).T)
+    mat = np.vstack(blocks) if blocks else np.zeros((0, len(monos)), dtype=complex)
+    if mat.shape[0] == 0 or not monos:
+        return RelationBasis(np.eye(len(monos), dtype=complex), tol, samples, np.zeros(0))
+    _, sing, vh = np.linalg.svd(mat, full_matrices=False)
+    kept = int(np.sum(sing > tol * sing[0]))
+    return RelationBasis(np.conj(vh[kept:]), tol, samples, sing)
+
+
+def whitney_poincare(arr):
+    """Poincare polynomial from Whitney's subset formula for the
+    characteristic polynomial, chi(t) = sum over subsets S of the
+    hypersurfaces of (-1)^|S| m(S) t^(l - rk S), where the intersection of S
+    has m(S) components, each of codimension rk S (m = 0 when it is empty);
+    then P(t) = (-t)^l chi(-(1 + t)/t).  Sums 2^n Smith forms, so n <= 12."""
+    if arr.n > 12:
+        raise ValueError("the subset sum is limited to n <= 12")
+    chars = arr.char_matrix()
+    bs = arr.b_vector()
+    chi = [0] * (arr.dim + 1)           # chi[c]: coefficient of t^(l - c)
+    chi[0] = 1
+    for size in range(1, arr.n + 1):
+        for subset in combinations(range(arr.n), size):
+            res = snf(IntMatrix(size, arr.dim, tuple(chars.entries[i] for i in subset)))
+            d = res.divisors()
+            beta = res.U.mul_vec(tuple(bs[i] for i in subset))
+            if any(mod1(x) != 0 for x in beta[len(d):]):
+                continue
+            chi[len(d)] += (-1) ** size * prod(d)
+    # (-t)^l chi(-(1+t)/t) = sum_c chi[c] (-t)^l (-(1+t)/t)^(l-c)
+    #                      = sum_c chi[c] (-1)^c t^c (1+t)^(l-c)
+    total = Polynomial.zero()
+    for c, coeff in enumerate(chi):
+        total = total + ((-1) ** c * coeff * Polynomial.binomial(arr.dim - c)).shift(c)
+    return total
 
 
 def local_lattice_poincare(arr):

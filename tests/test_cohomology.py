@@ -21,6 +21,7 @@ from oracles import (
     pair_step_counts,
     random_arrangement,
     random_unimodular_arrangement,
+    whitney_poincare,
 )
 
 
@@ -264,6 +265,16 @@ def test_braid_product_formula():
             # braid(6) has 15 hypersurfaces, past the search limit: identity ordering
             ordering = find_dr_ordering(arr).ordering if l == 5 else tuple(range(arr.n))
             assert dr_poincare(arr, ordering) == expected
+
+
+def test_dcp_matches_whitney_subset_formula():
+    """dcp_poincare against the characteristic polynomial summed over all
+    2^n subsets of hypersurfaces, which builds no poset."""
+    rng = random.Random(41)
+    arrs = [weyl("G2", 2), weyl("A", 3), weyl("B", 3), weyl("C", 3), weyl("D", 4), braid(4)]
+    arrs += [random_arrangement(rng, max_l=3, max_n=6) for _ in range(50)]
+    for arr in arrs:
+        assert whitney_poincare(arr) == dcp_poincare(arr)
 
 
 # order of the Weyl group, and index of connection (determinant of the Cartan matrix)

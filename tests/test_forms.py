@@ -1,14 +1,17 @@
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from toricarr import forms
 from toricarr.arrangement import ToricArrangement, braid, parse, weyl
 from toricarr.cohomology import dcp_poincare
 from toricarr.forms import (
     FormGenerator,
     RelationBasis,
-    _monomial_blocks,
+    _char_values,
+    _evaluation_matrix,
     degree2_relations,
     eval_generator,
     generators,
@@ -21,8 +24,10 @@ from toricarr.forms import (
 from oracles import (
     FOUR_LINES_RELATIONS,
     coeff_vector,
+    degree2_relations_reference,
     four_lines,
     monomial_matrix_reference,
+    random_arrangement,
 )
 
 
@@ -164,14 +169,73 @@ def test_dimension_consistency(make, expected_monos):
     lambda: weyl("B", 3),
 ])
 def test_monomial_blocks_match_reference(make):
+    """Sample k's rows of the evaluation matrix are the per-entry block at
+    sample_point(arr, [seed, k])."""
     arr = make()
     gens = generators(arr)
     monos = wedge_monomials(arr.dim, arr.n)
+    rows = arr.dim * (arr.dim - 1) // 2
     for seed in range(3):
-        for k, block in enumerate(_monomial_blocks(arr, 4, seed)):
+        mat = _evaluation_matrix(arr, 4, seed)
+        assert mat.shape == (4 * rows, len(monos))
+        for k in range(4):
+            block = mat[k * rows:(k + 1) * rows]
             ref = monomial_matrix_reference(gens, monos, sample_point(arr, [seed, k]))
-            assert block.shape == ref.shape
             assert np.max(np.abs(block - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_evaluation_matrix_replays_failed_first_draws(monkeypatch):
+    """z1^1100 z2 overflows or underflows on some first draws; those samples
+    are replayed by sample_point, and every sample's row (l = 2: one row per
+    sample) is still the per-entry block at sample_point(arr, [seed, k])."""
+    arr = parse("torus 2\nhyp 1100 1 @ 0/1\nhyp 1 0 @ 0/1\nhyp 1 1 @ 1/3\n")
+    gens = generators(arr)
+    monos = wedge_monomials(arr.dim, arr.n)
+    samples = 4 * len(monos)
+    replayed = []
+
+    def counting(arr_, seed):
+        replayed.append(seed[1])
+        return sample_point(arr_, seed)
+
+    monkeypatch.setattr(forms, "sample_point", counting)
+    mat = _evaluation_matrix(arr, samples, 0)
+    monkeypatch.undo()
+    assert replayed and replayed == sorted(set(replayed))
+    for k in range(samples):
+        ref = monomial_matrix_reference(gens, monos, sample_point(arr, [0, k]))
+        assert np.max(np.abs(mat[k:k + 1] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_batched_test_rejects_near_and_out_of_range_draws():
+    """Rows: within 1e-3 of z1 = 1; clear of both hypersurfaces; z1^1100
+    past the floating-point range."""
+    exps = np.array([[1.0, 0.0], [1100.0, 1.0]])
+    consts = np.array([1.0, 1.0], dtype=complex)
+    z = np.array([[1 + 5e-4, 1.5], [1 + 2e-3, 1.0], [2.0, 1.0]], dtype=complex)
+    w, ok = _char_values(z, exps, consts)
+    assert ok.tolist() == [False, True, False]
+    assert np.isclose(w[1, 1], (1 + 2e-3) ** 1100)
+
+
+def test_matches_per_sample_reference():
+    """Batched evaluation and the SVD of the QR factor against the
+    per-sample path with a thin SVD of the whole matrix."""
+    rng = random.Random(5)
+    arrs = [four_lines(), braid(3), braid(4), weyl("A", 3), weyl("B", 3),
+            weyl("C", 3), weyl("G2", 2), weyl("D", 4)]
+    arrs += [random_arrangement(rng, max_l=3, max_n=6) for _ in range(30)]
+    for arr in arrs:
+        got = degree2_relations(arr, seed=0)
+        ref = degree2_relations_reference(arr, seed=0)
+        assert got.nullity == ref.nullity
+        assert got.singular_values.shape == ref.singular_values.shape
+        if len(ref.singular_values):
+            top = ref.singular_values[0]
+            assert np.max(np.abs(got.singular_values - ref.singular_values)) <= 1e-10 * top
+        proj_got = got.matrix.conj().T @ got.matrix
+        proj_ref = ref.matrix.conj().T @ ref.matrix
+        assert np.max(np.abs(proj_got - proj_ref), initial=0.0) <= 1e-8
 
 
 def test_b3_basis_shape_and_rows_are_relations():
