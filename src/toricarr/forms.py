@@ -16,7 +16,6 @@ square factor R of the matrix's QR decomposition.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -68,14 +67,6 @@ def _constant(b: Fraction) -> complex:
 
 
 _TINY = np.finfo(float).tiny
-# The batched test of sample_point's draws multiplies character values in
-# array arithmetic, which may round differently from sample_point's scalar
-# products in the last bits.  It accepts a draw only with room to spare: every
-# factor and partial product within 2^-1000 .. 2^1000, and every value at
-# least 1e-3 + _ROOM |chi(z)| away from its constant.  So a draw it accepts is
-# one that sample_point accepts too.
-_ROOM = 1e-6
-_LOW, _HIGH = 2.0 ** -1000, 2.0 ** 1000
 # Size in bytes of the temporaries of one chunk of samples in _evaluation_matrix.
 _CHUNK_BYTES = 1 << 20
 
@@ -98,30 +89,35 @@ def sample_point(arr: ToricArrangement, seed) -> np.ndarray:
     value overflows or underflows (not finite, or of modulus below the
     smallest normal float): there a generator's covector would read as 0.
     """
+    exps, consts = _characters(arr)
     rng = np.random.default_rng(seed)
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        for _ in range(1000):
-            z = _point(*_draw(rng, arr.dim))
-            if all(cmath.isfinite(w) and abs(w) >= _TINY and abs(w - _constant(h.b)) >= 1e-3
-                   for h in arr.hypersurfaces for w in (_char_value(h.chi, z),)):
-                return z
+    for _ in range(1000):
+        z = _point(*_draw(rng, arr.dim))
+        if _char_values(z[None], exps, consts)[1][0]:
+            return z
     raise SamplingError("1000 draws all fell within 1e-3 of a hypersurface "
                         "or out of floating-point range of a character")
 
 
+def _characters(arr: ToricArrangement):
+    """The exponent rows (n x l, as floats) and the constants of the hypersurfaces."""
+    exps = np.array([h.chi for h in arr.hypersurfaces], dtype=float).reshape(arr.n, arr.dim)
+    consts = np.array([_constant(h.b) for h in arr.hypersurfaces], dtype=complex)
+    return exps, consts
+
+
 def _char_values(z: np.ndarray, exps: np.ndarray, consts: np.ndarray):
     """chi_j(z) for every point row of z (c x l) and exponent row j, and per
-    point whether it passes sample_point's test with room to spare."""
+    point whether every value is finite, of modulus at least the smallest
+    normal float and at least 1e-3 from its constant: the test of each draw,
+    in sample_point and in _evaluation_matrix alike."""
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         factors = z[:, None, :] ** exps
         w = np.ones(factors.shape[:2], dtype=complex)
-        inside = np.ones(factors.shape[:2], dtype=bool)
-        for k in range(z.shape[1]):     # sample_point's order of products
+        for k in range(z.shape[1]):
             w = w * factors[:, :, k]
-            for size in (np.abs(factors[:, :, k]), np.abs(w)):
-                inside &= (size >= _LOW) & (size <= _HIGH)
-        inside &= np.abs(w - consts) >= 1e-3 + _ROOM * np.abs(w)
-    return w, np.all(inside, axis=1)
+        ok = np.isfinite(w) & (np.abs(w) >= _TINY) & (np.abs(w - consts) >= 1e-3)
+    return w, np.all(ok, axis=1)
 
 
 def eval_generator(gen: FormGenerator, z: np.ndarray) -> np.ndarray:
@@ -180,8 +176,7 @@ def _evaluation_matrix(arr: ToricArrangement, samples: int, seed) -> np.ndarray:
     l, g = arr.dim, arr.dim + arr.n
     a, b = np.triu_indices(g, 1)
     pairs = tuple(zip(*np.triu_indices(l, 1)))
-    exps = np.array([h.chi for h in arr.hypersurfaces], dtype=float).reshape(arr.n, l)
-    consts = np.array([_constant(h.b) for h in arr.hypersurfaces], dtype=complex)
+    exps, consts = _characters(arr)
     mat = np.empty((samples * len(pairs), len(a)), dtype=complex)
     blocks = mat.reshape(samples, len(pairs), len(a))
     log2_modulus, angle = np.empty((2, samples, l))
@@ -189,7 +184,8 @@ def _evaluation_matrix(arr: ToricArrangement, samples: int, seed) -> np.ndarray:
         log2_modulus[k], angle[k] = _draw(np.random.default_rng([seed, k]), l)
     z = _point(log2_modulus, angle)
     coords = np.arange(l)
-    step = max(1, _CHUNK_BYTES // (16 * (arr.n * (l + 4) + l * g + 5 * len(a))))
+    sample_bytes = 16 * (arr.n * (l + 4) + l * g + 5 * len(a))
+    step = max(1, _CHUNK_BYTES // max(1, sample_bytes))
     for chunk in (slice(start, start + step) for start in range(0, samples, step)):
         w, ok = _char_values(z[chunk], exps, consts)
         for k in np.flatnonzero(~ok).tolist():

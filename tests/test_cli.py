@@ -271,6 +271,11 @@ def test_relations_empty(workdir, capsys):
     assert code == 0
     assert "nullity: 0\n" in out
     assert "consistent: true\n" in out
+    (workdir / "empty0.txt").write_text("torus 0\n")
+    code, out, _ = run(capsys, "relations", "empty0.txt")
+    assert code == 0
+    assert out.endswith("samples: 0\ntol: 1e-08\nseed: 0\ngenerators:\nmonomials: 0\n"
+                        "monomial_order:\nnullity: 0\nexpected_h2: 0\nconsistent: true\n")
 
 
 def test_relations_huge_exponent_refused(workdir, capsys):

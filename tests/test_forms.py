@@ -99,6 +99,9 @@ def test_empty_arrangement_nullity_zero():
     basis = degree2_relations(ToricArrangement(2, ()), seed=0)
     assert basis.nullity == 0
     assert basis.gap == float("inf")
+    # l = 0: no monomials and no samples
+    basis = degree2_relations(ToricArrangement(0, ()), seed=0)
+    assert (basis.samples, basis.matrix.shape, basis.gap) == (0, (0, 0), float("inf"))
 
 
 def test_rank_one_torus_every_monomial_is_a_relation():
