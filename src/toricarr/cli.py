@@ -63,8 +63,8 @@ def _ordering_str(ordering) -> str:
 
 
 def _parse_ordering(text: str, n: int) -> tuple[int, ...]:
-    try:
-        ordering = tuple(int(tok) - 1 for tok in text.split(","))
+    try:  # empty text is the empty ordering, as printed for n = 0
+        ordering = tuple(int(tok) - 1 for tok in text.split(",") if text)
     except ValueError:
         raise ValueError(f"bad ordering {text!r}: expected comma-separated integers")
     if sorted(ordering) != list(range(n)):

@@ -203,6 +203,19 @@ def _evaluation_matrix(arr: ToricArrangement, samples: int, seed) -> np.ndarray:
     return mat
 
 
+def _checked_samples(n_monos: int, samples: int | None, tol: float) -> int:
+    """The sample count, 4 per monomial by default; raises ValueError unless
+    0 < tol < 1 and there are at least 3 samples per monomial."""
+    if not 0 < tol < 1:
+        raise ValueError(f"tol must satisfy 0 < tol < 1, got {tol}")
+    if samples is None:
+        return 4 * n_monos
+    if samples < 3 * n_monos:
+        raise ValueError(f"need at least {3 * n_monos} samples for "
+                         f"{n_monos} monomials, got {samples}")
+    return samples
+
+
 def degree2_relations(arr: ToricArrangement, samples: int | None = None,
                       tol: float = 1e-8, seed: int = 0) -> RelationBasis:
     """Null space of the wedge-monomial evaluation matrix.
@@ -217,14 +230,8 @@ def degree2_relations(arr: ToricArrangement, samples: int | None = None,
     values and right singular vectors; for l <= 1 it has no rows and every
     monomial is a relation.
     """
-    if not 0 < tol < 1:
-        raise ValueError(f"tol must satisfy 0 < tol < 1, got {tol}")
     n_monos = len(wedge_monomials(arr.dim, arr.n))
-    if samples is None:
-        samples = 4 * n_monos
-    if samples < 3 * n_monos:
-        raise ValueError(f"need at least {3 * n_monos} samples for "
-                         f"{n_monos} monomials, got {samples}")
+    samples = _checked_samples(n_monos, samples, tol)
     mat = _evaluation_matrix(arr, samples, seed)
     if mat.shape[0] == 0 or n_monos == 0:
         return RelationBasis(np.eye(n_monos, dtype=complex), tol, samples,
@@ -238,13 +245,13 @@ def degree2_relations(arr: ToricArrangement, samples: int | None = None,
 def verify_relation(arr: ToricArrangement, coefficients, samples: int | None = None,
                     tol: float = 1e-8, seed: int = 0) -> bool:
     """True iff the 2-form with these monomial coefficients vanishes at every
-    sampled point, relative to the magnitude of the monomials there."""
+    sampled point, relative to the magnitude of the monomials there; the
+    ``samples`` and ``tol`` checks are those of :func:`degree2_relations`."""
     monos = wedge_monomials(arr.dim, arr.n)
     coeffs = np.asarray(coefficients, dtype=complex)
     if coeffs.shape != (len(monos),):
         raise ValueError(f"expected {len(monos)} coefficients, got {coeffs.shape}")
-    if samples is None:
-        samples = 4 * len(monos)
+    samples = _checked_samples(len(monos), samples, tol)
     scale = np.linalg.norm(coeffs)
     if scale == 0:
         return True

@@ -6,12 +6,19 @@ immutable (hashable) so they can serve as canonical labels elsewhere in the
 package.  The Hermite normal form convention is row-style with positive
 pivots and entries above each pivot reduced into [0, pivot); this makes
 ``hnf(A).H`` a unique canonical form of the row lattice of ``A``.
+
+One routine does Hermite elimination: :func:`hnf_add_row` merges one row
+into a canonical basis.  ``row_basis``, ``hnf``, ``rank``, ``left_kernel``
+and ``in_row_lattice`` are folds of it, so the transform ``hnf(A).U`` is
+canonical as well.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import takewhile
 from math import gcd
 
 
@@ -98,13 +105,8 @@ class SNFResult:
 
     def divisors(self) -> tuple[int, ...]:
         """Nonzero diagonal entries d_1 | d_2 | ... | d_r."""
-        out = []
-        for i in range(min(self.D.rows, self.D.cols)):
-            d = self.D.entries[i][i]
-            if d == 0:
-                break
-            out.append(d)
-        return tuple(out)
+        diag = (self.D.entries[i][i] for i in range(min(self.D.rows, self.D.cols)))
+        return tuple(takewhile(bool, diag))
 
 
 # -- in-place helpers on list-of-list matrices -------------------------------
@@ -155,47 +157,6 @@ def _col_sub(m, v, j, k, q):
 
 def _freeze(m, cols) -> IntMatrix:
     return IntMatrix(len(m), cols, tuple(tuple(r) for r in m))
-
-
-def hnf(a: IntMatrix) -> HNFResult:
-    """Row-style Hermite normal form with unimodular transform.
-
-    Pivots are positive, entries above each pivot lie in [0, pivot), zero
-    rows sink to the bottom.  The nonzero rows of H are the unique canonical
-    basis of the row lattice of ``a``.
-    """
-    m, n = a.rows, a.cols
-    H = [list(r) for r in a.entries]
-    U = _identity_list(m)
-    pivots: list[tuple[int, int]] = []
-    pr = 0
-    for c in range(n):
-        if pr == m:
-            break
-        nz = [i for i in range(pr, m) if H[i][c] != 0]
-        if not nz:
-            continue
-        while True:
-            i0 = min(nz, key=lambda i: abs(H[i][c]))
-            _swap_rows(H, U, pr, i0)
-            if H[pr][c] < 0:
-                _negate_row(H, U, pr)
-            clean = True
-            for i in range(pr + 1, m):
-                if H[i][c]:
-                    _row_sub(H, U, i, pr, H[i][c] // H[pr][c])
-                    if H[i][c]:
-                        clean = False
-            if clean:
-                break
-            nz = [i for i in range(pr, m) if H[i][c] != 0]
-        pivots.append((pr, c))
-        pr += 1
-    # second pass: reduce entries above each pivot into [0, pivot)
-    for r, c in pivots:
-        for i in range(r):
-            _row_sub(H, U, i, r, H[i][c] // H[r][c])
-    return HNFResult(_freeze(H, n), _freeze(U, m))
 
 
 def snf(a: IntMatrix) -> SNFResult:
@@ -258,61 +219,6 @@ def pivot_positions(h: IntMatrix) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def rank(a: IntMatrix) -> int:
-    return len(pivot_positions(hnf(a).H))
-
-
-def row_basis(a: IntMatrix) -> IntMatrix:
-    """Canonical (HNF, nonzero-row) basis of the row lattice of ``a``."""
-    h = hnf(a).H
-    nz = tuple(r for r in h.entries if any(r))
-    return IntMatrix(len(nz), a.cols, nz)
-
-
-def in_row_lattice(h: IntMatrix, v) -> bool:
-    """Membership of an integer vector in the row lattice of a canonical basis.
-
-    ``h`` must be an HNF row basis (as produced by :func:`row_basis`).
-    """
-    v = [int(x) for x in v]
-    if len(v) != h.cols:
-        raise ValueError("vector length mismatch")
-    for r, c in pivot_positions(h):
-        p = h.entries[r][c]
-        if v[c] % p:
-            return False
-        q = v[c] // p
-        if q:
-            v = [a - q * b for a, b in zip(v, h.entries[r])]
-    return not any(v)
-
-
-def left_kernel(a: IntMatrix) -> IntMatrix:
-    """HNF canonical basis of the lattice {k in Z^rows : k @ a = 0}."""
-    res = hnf(a)
-    zero = [i for i in range(a.rows) if not any(res.H.entries[i])]
-    if not zero:
-        return IntMatrix(0, a.rows, ())
-    k = IntMatrix(len(zero), a.rows, tuple(res.U.entries[i] for i in zero))
-    return row_basis(k)
-
-
-def saturation(a: IntMatrix) -> IntMatrix:
-    """HNF basis of the saturation of the row lattice of ``a`` in Z^cols.
-
-    The saturation is the set of integer vectors in the rational row span.
-    From the Smith form U @ a = D @ V^-1, row i < r of U @ a is d_i times
-    row i of V^-1.  The first r rows of the unimodular V^-1 span a
-    saturated lattice with the rational span of ``a``, so their canonical
-    HNF basis is the answer.
-    """
-    res = snf(a)
-    d = res.divisors()
-    rows = tuple(tuple(sum(x * y for x, y in zip(u, col)) // di for col in zip(*a.entries))
-                 for u, di in zip(res.U.entries, d))
-    return row_basis(IntMatrix(len(d), a.cols, rows))
-
-
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     """(g, s, t) with g = s*a + t*b = gcd(a, b) >= 0."""
     s0, s1, t0, t1 = 1, 0, 0, 1
@@ -340,8 +246,9 @@ def hnf_add_row(h: IntMatrix, v) -> IntMatrix:
     ``h`` must be an HNF row basis (as produced by :func:`row_basis`).  The
     row is merged in column by column: at a pivot column of ``h`` one
     extended gcd combines it with that pivot row; at any other column it
-    becomes a new pivot row.  Entries above the pivots are then reduced as
-    in :func:`hnf`; no transform is kept.
+    becomes a new pivot row.  Entries above the pivots are then reduced
+    into [0, pivot).  No transform is kept; :func:`hnf` gets one by carrying
+    an identity block.
     """
     rows = [list(r) for r in h.entries]
     piv = [c for _, c in pivot_positions(h)]
@@ -371,6 +278,61 @@ def hnf_add_row(h: IntMatrix, v) -> IntMatrix:
             if q:
                 rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
     return _freeze(rows, h.cols)
+
+
+def row_basis(a: IntMatrix) -> IntMatrix:
+    """Canonical (HNF, nonzero-row) basis of the row lattice of ``a``."""
+    return reduce(hnf_add_row, a.entries, IntMatrix(0, a.cols, ()))
+
+
+def hnf(a: IntMatrix) -> HNFResult:
+    """Row-style Hermite normal form with unimodular transform.
+
+    Read off the canonical basis of the rows of [a | I]: each basis row is
+    (x @ a, x), those with a nonzero a-part come first and form the HNF of
+    ``a``, and the rest hold the HNF basis of the left kernel.  Zero rows of
+    H sink to the bottom, and U is canonical too.
+    """
+    n = a.cols
+    basis = row_basis(IntMatrix(a.rows, n + a.rows, tuple(
+        r + e for r, e in zip(a.entries, IntMatrix.identity(a.rows).entries))))
+    return HNFResult(IntMatrix(a.rows, n, tuple(r[:n] for r in basis.entries)),
+                     IntMatrix(a.rows, a.rows, tuple(r[n:] for r in basis.entries)))
+
+
+def rank(a: IntMatrix) -> int:
+    return row_basis(a).rows
+
+
+def left_kernel(a: IntMatrix) -> IntMatrix:
+    """HNF canonical basis of the lattice {k in Z^rows : k @ a = 0}."""
+    res = hnf(a)
+    kernel = tuple(u for h, u in zip(res.H.entries, res.U.entries) if not any(h))
+    return IntMatrix(len(kernel), a.rows, kernel)
+
+
+def in_row_lattice(h: IntMatrix, v) -> bool:
+    """Membership of an integer vector in the row lattice of a canonical basis.
+
+    ``h`` must be an HNF row basis (as produced by :func:`row_basis`).
+    """
+    return hnf_add_row(h, v) == h
+
+
+def saturation(a: IntMatrix) -> IntMatrix:
+    """HNF basis of the saturation of the row lattice of ``a`` in Z^cols.
+
+    The saturation is the set of integer vectors in the rational row span.
+    From the Smith form U @ a = D @ V^-1, row i < r of U @ a is d_i times
+    row i of V^-1.  The first r rows of the unimodular V^-1 span a
+    saturated lattice with the rational span of ``a``, so their canonical
+    HNF basis is the answer.
+    """
+    res = snf(a)
+    d = res.divisors()
+    rows = tuple(tuple(sum(x * y for x, y in zip(u, col)) // di for col in zip(*a.entries))
+                 for u, di in zip(res.U.entries, d))
+    return row_basis(IntMatrix(len(d), a.cols, rows))
 
 
 def is_primitive(v) -> bool:

@@ -17,7 +17,17 @@ from toricarr.forms import (
     wedge_monomials,
 )
 from toricarr.hyperplane import top_local_multiplicity
-from toricarr.lattice import IntMatrix, left_kernel, snf
+from toricarr.lattice import (
+    HNFResult,
+    IntMatrix,
+    _freeze,
+    _identity_list,
+    _negate_row,
+    _row_sub,
+    _swap_rows,
+    left_kernel,
+    snf,
+)
 from toricarr.polynomial import Polynomial
 from toricarr.poset import (
     Component,
@@ -315,6 +325,48 @@ def grid_component_count(a: IntMatrix, b) -> int:
     classes, counts = np.unique(vals, axis=0, return_counts=True)
     assert len(set(counts.tolist())) == 1, "unequal component classes on the grid"
     return len(classes)
+
+
+def hnf_reference(a: IntMatrix) -> HNFResult:
+    """Row-style Hermite normal form with unimodular transform, by the
+    classical column-by-column elimination (the old ``lattice.hnf``).
+
+    Pivots are positive, entries above each pivot lie in [0, pivot), zero
+    rows sink to the bottom.  The nonzero rows of H are the unique canonical
+    basis of the row lattice of ``a``.
+    """
+    m, n = a.rows, a.cols
+    H = [list(r) for r in a.entries]
+    U = _identity_list(m)
+    pivots: list[tuple[int, int]] = []
+    pr = 0
+    for c in range(n):
+        if pr == m:
+            break
+        nz = [i for i in range(pr, m) if H[i][c] != 0]
+        if not nz:
+            continue
+        while True:
+            i0 = min(nz, key=lambda i: abs(H[i][c]))
+            _swap_rows(H, U, pr, i0)
+            if H[pr][c] < 0:
+                _negate_row(H, U, pr)
+            clean = True
+            for i in range(pr + 1, m):
+                if H[i][c]:
+                    _row_sub(H, U, i, pr, H[i][c] // H[pr][c])
+                    if H[i][c]:
+                        clean = False
+            if clean:
+                break
+            nz = [i for i in range(pr, m) if H[i][c] != 0]
+        pivots.append((pr, c))
+        pr += 1
+    # second pass: reduce entries above each pivot into [0, pivot)
+    for r, c in pivots:
+        for i in range(r):
+            _row_sub(H, U, i, r, H[i][c] // H[r][c])
+    return HNFResult(_freeze(H, n), _freeze(U, m))
 
 
 def saturation_reference(a):

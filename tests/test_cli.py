@@ -133,6 +133,7 @@ def test_poincare_dr_bad_ordering_refused(workdir, capsys):
     ("--method=dcp", "--ordering=1,2,3,4", "four_lines.txt"),
     ("--method=dr", "--ordering=1,2,3", "four_lines.txt"),
     ("--method=dr", "--ordering=1,x,3,4", "four_lines.txt"),
+    ("--method=dr", "--ordering=", "four_lines.txt"),
     ("--method=dr", "thirteen.txt"),
 ])
 def test_poincare_usage_errors_leave_stdout_empty(workdir, capsys, argv):
@@ -143,6 +144,14 @@ def test_poincare_usage_errors_leave_stdout_empty(workdir, capsys, argv):
     assert code == 1
     assert out == ""
     assert err.startswith("toricarr: ")
+
+
+def test_poincare_empty_ordering_round_trip(workdir, capsys):
+    # with no hypersurfaces the printed ordering is empty, and it reads back
+    code, out, _ = run(capsys, "poincare", "--method=dr", "empty3.txt")
+    assert code == 0
+    assert out.endswith("method: dr\nordering:\npoincare: 1 3 3 1\n")
+    assert run(capsys, "poincare", "--method=dr", "--ordering=", "empty3.txt") == (0, out, "")
 
 
 def test_poincare_restriction_past_search_limit_leaves_stdout_empty(workdir, capsys):

@@ -282,6 +282,18 @@ def test_samples_precondition():
         degree2_relations(arr, samples=5)
 
 
+@pytest.mark.parametrize("bad", [{"samples": 0}, {"samples": 29}, {"tol": 0.0},
+                                 {"tol": -1e-8}, {"tol": 1.0}])
+def test_verify_relation_checks_samples_and_tol(bad):
+    # A2 has 10 wedge monomials, so 30 samples is the least allowed; with
+    # samples=0 the check used to pass every form
+    arr = weyl("A", 2)
+    e0 = np.eye(len(wedge_monomials(arr.dim, arr.n)))[0]
+    assert not verify_relation(arr, e0, samples=30, seed=0)
+    with pytest.raises(ValueError):
+        verify_relation(arr, e0, seed=0, **bad)
+
+
 def test_torsion_constant_consistency():
     """A root-of-unity constant exercised end to end: {z1=1, z2=1, z1z2=-1}."""
     arr = parse("torus 2\nhyp 1 0 @ 0/1\nhyp 0 1 @ 0/1\nhyp 1 1 @ 1/2\n")

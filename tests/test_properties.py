@@ -1,16 +1,39 @@
-"""Property tests for the primitives that cut a component: ``hnf_add_row``,
-``bezout`` and the ``LocalFrame`` step (``trace``, ``lift``, ``points``)."""
+"""Property tests for the integer kernel built on ``hnf_add_row`` (``hnf``,
+``row_basis``, ``rank``, ``left_kernel``, ``in_row_lattice``) against the
+classical elimination ``hnf_reference``, for ``snf`` against sympy, for
+``bezout``, the ``LocalFrame`` step (``trace``, ``lift``, ``points``) and
+the parse/serialize round trip."""
 
 from fractions import Fraction
 from math import gcd
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from sympy import ZZ, Matrix
+from sympy.matrices.normalforms import smith_normal_form
 
-from toricarr.arrangement import LocalFrame, mod1
-from toricarr.lattice import IntMatrix, bezout, hnf_add_row, row_basis, saturation
+from toricarr.arrangement import (
+    Hypersurface,
+    LocalFrame,
+    ToricArrangement,
+    mod1,
+    parse,
+    serialize,
+)
+from toricarr.lattice import (
+    IntMatrix,
+    bezout,
+    hnf,
+    hnf_add_row,
+    in_row_lattice,
+    left_kernel,
+    rank,
+    row_basis,
+    saturation,
+    snf,
+)
 
-from oracles import intersect_system_reference
+from oracles import det, hnf_reference, intersect_system_reference
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
@@ -47,7 +70,73 @@ def component_and_row(draw):
 @given(basis_and_row())
 def test_hnf_add_row_is_row_basis(case):
     h, v = case
-    assert hnf_add_row(h, v) == row_basis(h.with_row(v))
+    ref = hnf_reference(h.with_row(v)).H
+    assert hnf_add_row(h, v) == IntMatrix.from_rows([r for r in ref.entries if any(r)], h.cols)
+
+
+@PROPERTY
+@given(matrices())
+def test_hnf_matches_reference(a):
+    res = hnf(a)
+    assert res.H == hnf_reference(a).H
+    assert res.U @ a == res.H
+    assert abs(det(res.U)) == 1
+
+
+@PROPERTY
+@given(matrices())
+def test_left_kernel_annihilates(a):
+    k = left_kernel(a)
+    assert k.rows == a.rows - rank(a)
+    assert all(not any(r) for r in (k @ a).entries)
+
+
+@PROPERTY
+@given(matrices(), st.data())
+def test_combinations_of_rows_lie_in_row_lattice(a, data):
+    x = IntMatrix(1, a.rows, (tuple(data.draw(st.lists(
+        st.integers(-5, 5), min_size=a.rows, max_size=a.rows))),))
+    assert in_row_lattice(row_basis(a), (x @ a).row(0))
+
+
+def test_hnf_transform_is_canonical():
+    """On a rank-1 matrix U is the canonical basis of the rows of [a | I]:
+    (0, 1, 0) is reduced against the kernel basis (1, 1, -1), (0, 3, -1)."""
+    a = IntMatrix.from_rows([[2, 4], [1, 2], [3, 6]])
+    res = hnf(a)
+    assert res.H == IntMatrix.from_rows([[1, 2], [0, 0], [0, 0]])
+    assert res.U == IntMatrix.from_rows([[0, 1, 0], [1, 1, -1], [0, 3, -1]])
+    assert left_kernel(a) == IntMatrix.from_rows([[1, 1, -1], [0, 3, -1]])
+
+
+@PROPERTY
+@given(matrices())
+def test_snf_divisors_match_sympy(a):
+    d = smith_normal_form(Matrix(a.rows, a.cols, [x for r in a.entries for x in r]), domain=ZZ)
+    diag = [abs(int(d[i, i])) for i in range(min(a.rows, a.cols))]
+    assert snf(a).divisors() == tuple(x for x in diag if x)
+
+
+@st.composite
+def arrangements(draw):
+    """Normalized arrangements: primitive characters, constants in [0, 1),
+    no repeated hypersurface."""
+    l = draw(st.integers(0, 4))
+    hyps = {}
+    if l:
+        for _ in range(draw(st.integers(0, 6))):
+            chi = draw(st.lists(st.integers(-3, 3), min_size=l, max_size=l))
+            g = gcd(*chi)
+            if g:
+                h = Hypersurface(tuple(x // g for x in chi), draw(values))
+                hyps[(h.chi, h.b)] = h
+    return ToricArrangement(l, tuple(hyps.values()))
+
+
+@PROPERTY
+@given(arrangements())
+def test_parse_serialize_round_trip(arr):
+    assert parse(serialize(arr)) == arr
 
 
 @PROPERTY
