@@ -45,13 +45,11 @@ def mod1(x) -> Fraction:
     return Fraction(x) % 1
 
 
-def _canonical_pair(chi, b):
-    chi = tuple(int(x) for x in chi)
-    lead = next((x for x in chi if x), 0)
-    if lead < 0:
-        chi = tuple(-x for x in chi)
-        b = -b
-    return chi, mod1(b)
+def _reduced(x: int, m: int) -> tuple[int, int]:
+    """x/m mod 1 as a reduced pair (numerator, denominator)."""
+    x %= m
+    r = gcd(x, m)
+    return x // r, m // r
 
 
 @dataclass(frozen=True)
@@ -62,11 +60,13 @@ class Hypersurface:
     b: Fraction
 
     def __post_init__(self):
-        chi, b = _canonical_pair(self.chi, self.b)
+        chi, b = tuple(int(x) for x in self.chi), self.b
+        if next((x for x in chi if x), 0) < 0:
+            chi, b = tuple(-x for x in chi), -b
         if not is_primitive(chi):
             raise ValueError(f"character {chi} is not primitive")
         object.__setattr__(self, "chi", chi)
-        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "b", mod1(b))
 
 
 @dataclass(frozen=True)
@@ -232,20 +232,13 @@ def positive_roots(family: str, rank_: int) -> list[tuple[int, ...]]:
     Sorted by height then reverse-lexicographically, so the simple roots come
     first in their natural order.
     """
-    if family == "G2":
-        if rank_ != 2:
-            raise ValueError("G2 has rank 2")
-    elif family == "A":
-        if rank_ < 1:
-            raise ValueError("type A needs rank >= 1")
-    elif family in ("B", "C"):
-        if rank_ < 2:
-            raise ValueError(f"type {family} needs rank >= 2")
-    elif family == "D":
-        if rank_ < 3:
-            raise ValueError("type D needs rank >= 3")
-    else:
+    least = {"A": 1, "B": 2, "C": 2, "D": 3, "G2": 2}.get(family)
+    if least is None:
         raise ValueError(f"unknown family {family!r}")
+    if family == "G2" and rank_ != 2:
+        raise ValueError("G2 has rank 2")
+    if rank_ < least:
+        raise ValueError(f"type {family} needs rank >= {least}")
     cartan = _cartan_matrix(family, rank_)
     simples = [tuple(1 if j == i else 0 for j in range(rank_)) for i in range(rank_)]
     roots = set(simples)
@@ -308,30 +301,24 @@ class LocalFrame:
         self._w = [sum(map(mul, row, y)) for row in self._head]   # den * w
         self._cols = list(zip(*self._tail))
 
-    def trace(self, chi, b: Fraction):
-        """The trace of {chi @ u = b} on the component, for any integer row
-        ``chi`` (zero and non-primitive rows included).
+    def trace(self, chi, num: int, den: int):
+        """The trace of {chi @ u = num/den} on the component, for any integer
+        row ``chi`` (zero and non-primitive rows included).
 
         None when c = 0 (the row is constant on the component), and
         otherwise the sign-normalised local character c/g, g = gcd(c), with
         the values of its g local hypersurfaces as reduced pairs (numerator,
-        denominator): value t is sign * (v + t)/g mod 1, v = b - chi @ w
+        denominator): value t is sign * (v + t)/g mod 1, v = num/den - chi @ w
         reduced mod 1."""
         c = [sum(map(mul, chi, col)) for col in self._cols]
         g = gcd(*c)
         if not g:
             return None
-        sign = 1 if next(x for x in c if x) > 0 else -1
-        den = lcm(self._den, b.denominator)
-        v = (b.numerator * (den // b.denominator)
-             - sum(map(mul, chi, self._w)) * (den // self._den)) % den
-        m = g * den
-        pairs = []
-        for t in range(g):
-            num = sign * (v + t * den) % m
-            r = gcd(num, m)
-            pairs.append((num // r, m // r))
-        return tuple(sign * x // g for x in c), tuple(pairs)
+        sign = 1 if next(filter(None, c)) > 0 else -1
+        d = lcm(self._den, den)
+        v = (num * (d // den) - sum(map(mul, chi, self._w)) * (d // self._den)) % d
+        return (tuple(sign * x // g for x in c),
+                tuple(_reduced(sign * (v + t * d), g * d) for t in range(g)))
 
     def lift(self, chi) -> list[int]:
         """chi' = +-c' @ (V^-1)[k:, :] for the local character c' of ``chi``.
@@ -360,6 +347,20 @@ class LocalFrame:
             yield [x * a + t * b for x, t in zip(self._w, ty)], m
 
 
+def _keys(arr: ToricArrangement) -> tuple:
+    """The hypersurfaces as integer keys (chi, (num, den)), b = num/den."""
+    return tuple((h.chi, (h.b.numerator, h.b.denominator)) for h in arr.hypersurfaces)
+
+
+def _traces(keys, i: int) -> tuple[tuple, ...]:
+    """:func:`traces` on integer keys: each component as a key (c', (num, den))
+    in normal form, c' primitive with first nonzero entry positive."""
+    chi, (num, den) = keys[i]
+    frame = LocalFrame(IntMatrix(1, len(chi), (chi,)), (Fraction(num, den),))
+    return tuple(() if tr is None else tuple((tr[0], pair) for pair in tr[1])
+                 for tr in (frame.trace(c, p, q) for c, (p, q) in keys))
+
+
 def traces(arr: ToricArrangement, i: int) -> tuple[tuple[Hypersurface, ...], ...]:
     """Trace of every hypersurface on hypersurface ``i``, 0-based.
 
@@ -367,16 +368,13 @@ def traces(arr: ToricArrangement, i: int) -> tuple[tuple[Hypersurface, ...], ...
     frame of :class:`LocalFrame`.  Entry r lists the g connected components
     of K_r ∩ K_i (g the gcd of chi_r restricted to K_i) as hypersurfaces of
     that torus, component t at position t; it is empty for r == i and for
-    K_r parallel to K_i.
+    K_r parallel to K_i.  The DR layer reads them as keys (chi, (num, den)).
     """
-    hi = arr.hypersurfaces[i]
-    frame = LocalFrame(IntMatrix(1, arr.dim, (hi.chi,)), (hi.b,))
-    return tuple(() if tr is None else
-                 tuple(Hypersurface(tr[0], Fraction(num, d)) for num, d in tr[1])
-                 for tr in (frame.trace(h.chi, h.b) for h in arr.hypersurfaces))
+    return tuple(tuple(Hypersurface(chi, Fraction(*value)) for chi, value in t)
+                 for t in _traces(_keys(arr), i))
 
 
-def _union(trace, prefix) -> tuple[Hypersurface, ...]:
+def _union(trace, prefix) -> tuple:
     """Each component of ``trace[r]`` over r in ``prefix`` once, in order of
     first occurrence over ``sorted(prefix)``."""
     return tuple(dict.fromkeys(h for r in sorted(prefix) for h in trace[r]))

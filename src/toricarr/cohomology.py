@@ -8,19 +8,24 @@ per-step component-count condition holds along an ordering (step k counts the
 hypersurfaces of ``restrict(arr, ordering[k], ordering[:k])``, at most k are
 allowed), and refuses otherwise.
 
-Within one public call, each arrangement has one table of its traces, built
-per hypersurface on first use, with each trace also held as a bitmask over
-the distinct components on that hypersurface; a step count is the popcount
-of an OR.  The ordering check, the search and the restrictions the recursion
-builds all read that table.  A restriction recurses along the ordering its
-own search found, with the table that search filled, once per call.
+The layer works on integers: an arrangement is its dimension and its
+hypersurfaces as keys (chi, (num, den)), in the normal form that
+``LocalFrame.trace`` gives, and ``ToricArrangement`` appears only at the
+public entry points.  Each arrangement has one table of traces, built per
+hypersurface on first use, each trace also a bitmask over the distinct
+components on its hypersurface: a step count is the popcount of an OR.  The
+check, the search and the recursion read that table; consecutive public
+calls on one object share it.  A restriction, the ordered union of trace
+keys, recurses along the ordering its own search found, memoized on
+(dim, keys) within a call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from weakref import ref
 
-from .arrangement import ToricArrangement, _union, traces
+from .arrangement import ToricArrangement, _keys, _traces, _union
 from .polynomial import Polynomial
 from .poset import build_poset
 
@@ -45,34 +50,46 @@ class DrReport:
     verdict: bool
 
 
-def _entry(arr: ToricArrangement, table: dict, i: int):
-    """``traces(arr, i)`` and each trace as a bitmask over the distinct
+_last: list = [lambda: None, None]
+
+
+def _top(arr: ToricArrangement):
+    """``arr``'s keys and trace table, held for the last object seen (by weak
+    reference): consecutive public calls on it, as ``analyze`` and
+    ``poincare --method=dr`` make, build each trace once."""
+    if _last[0]() is not arr:
+        _last[:] = [ref(arr), (_keys(arr), {})]
+    return _last[1]
+
+
+def _entry(keys, table: dict, i: int):
+    """``_traces(keys, i)`` and each trace as a bitmask over the distinct
     components on K_i, built on first use."""
     if i not in table:
-        trace = traces(arr, i)
+        trace = _traces(keys, i)
         bit: dict = {}
         table[i] = trace, tuple(sum(1 << bit.setdefault(h, len(bit)) for h in t) for t in trace)
     return table[i]
 
 
-def _step_count(arr: ToricArrangement, table: dict, i: int, prefix) -> int:
+def _step_count(keys, table: dict, i: int, prefix) -> int:
     """Number of hypersurfaces of ``restrict(arr, i, prefix)``: the distinct
     components in the union of the traces of the prefix on K_i."""
     if not prefix:
         return 0
-    masks = _entry(arr, table, i)[1]
+    masks = _entry(keys, table, i)[1]
     union = 0
     for r in prefix:
         union |= masks[r]
     return union.bit_count()
 
 
-def _check(arr: ToricArrangement, table: dict, ordering) -> DrReport:
+def _check(keys, table: dict, ordering) -> DrReport:
     """:func:`dr_condition_check` reading and filling ``table``."""
     ordering = tuple(ordering)
-    if sorted(ordering) != list(range(arr.n)):
+    if sorted(ordering) != list(range(len(keys))):
         raise ValueError("ordering must be a permutation of the hypersurface indices")
-    counts = tuple(_step_count(arr, table, ordering[k], ordering[:k])
+    counts = tuple(_step_count(keys, table, ordering[k], ordering[:k])
                    for k in range(1, len(ordering)))
     return DrReport(ordering, counts, all(c <= k for k, c in enumerate(counts, start=1)))
 
@@ -84,12 +101,12 @@ def dr_condition_check(arr: ToricArrangement, ordering) -> DrReport:
     ``restrict(arr, ordering[k], ordering[:k])`` must have at most k
     hypersurfaces.
     """
-    return _check(arr, {}, ordering)
+    return _check(*_top(arr), ordering)
 
 
-def _search(arr: ToricArrangement, table: dict) -> tuple[int, ...] | None:
+def _search(keys, table: dict) -> tuple[int, ...] | None:
     """Lexicographically first passing ordering, or None; fills ``table``."""
-    n = arr.n
+    n = len(keys)
     if n > 12:
         raise ValueError("ordering search is exponential in n; limited to n <= 12")
     dead: set[int] = set()
@@ -100,7 +117,7 @@ def _search(arr: ToricArrangement, table: dict) -> tuple[int, ...] | None:
         if members in dead:
             return None
         for cand in range(n):
-            if not members >> cand & 1 and _step_count(arr, table, cand, prefix) <= len(prefix):
+            if not members >> cand & 1 and _step_count(keys, table, cand, prefix) <= len(prefix):
                 found = extend(prefix + (cand,), members | 1 << cand)
                 if found is not None:
                     return found
@@ -115,9 +132,9 @@ def find_dr_ordering(arr: ToricArrangement) -> DrReport:
     condition, or a failed report.  Depth-first over prefixes; the step test
     depends on a prefix only as a set (``members``, a bitmask), so a set found
     to have no passing completion is not expanded again: at most 2^n are."""
-    table: dict = {}
-    ordering = _search(arr, table)
-    return DrReport(None, (), False) if ordering is None else _check(arr, table, ordering)
+    keys, table = _top(arr)
+    ordering = _search(keys, table)
+    return DrReport(None, (), False) if ordering is None else _check(keys, table, ordering)
 
 
 def dcp_poincare(arr: ToricArrangement) -> Polynomial:
@@ -138,33 +155,33 @@ def dr_poincare(arr: ToricArrangement, ordering) -> Polynomial:
     no passing ordering of its own; the recursion is unjustified in either
     case.  Restrictions met again within the call reuse their polynomial.
     """
-    table: dict = {}
-    report = _check(arr, table, ordering)
+    keys, table = _top(arr)
+    report = _check(keys, table, ordering)
     if not report.verdict:
         bad = next(k for k, c in enumerate(report.step_counts) if c > k + 1)
         raise DrHypothesisError(
             f"ordering {tuple(x + 1 for x in report.ordering)} cuts "
             f"{report.step_counts[bad]} components at step {bad + 2}; "
             "the deletion-restriction recursion does not apply")
-    memo: dict[ToricArrangement, Polynomial] = {}
+    memo: dict[tuple, Polynomial] = {}
 
-    def recurse(arr: ToricArrangement, table: dict, ordering: tuple[int, ...]) -> Polynomial:
-        total = Polynomial.binomial(arr.dim)
+    def recurse(dim: int, keys, table: dict, ordering: tuple[int, ...]) -> Polynomial:
+        total = Polynomial.binomial(dim)
         for pos, idx in enumerate(ordering):
             # the first hypersurface has no predecessors: no traces needed
-            hyps = _union(_entry(arr, table, idx)[0], ordering[:pos]) if pos else ()
-            sub = ToricArrangement(arr.dim - 1, hyps)
-            if sub not in memo:
+            sub = (dim - 1, _union(_entry(keys, table, idx)[0], ordering[:pos]) if pos else ())
+            poly = memo.get(sub)
+            if poly is None:
                 sub_table: dict = {}
-                sub_ordering = _search(sub, sub_table)
+                sub_ordering = _search(sub[1], sub_table)
                 if sub_ordering is None:
                     raise DrHypothesisError(f"restriction to hypersurface {idx + 1} admits no "
                                             "deletion-restriction ordering")
-                memo[sub] = recurse(sub, sub_table, sub_ordering)
-            total = total + memo[sub].shift(1)
+                poly = memo[sub] = recurse(*sub, sub_table, sub_ordering)
+            total = total + poly.shift(1)
         return total
 
-    return recurse(arr, table, report.ordering)
+    return recurse(arr.dim, keys, table, report.ordering)
 
 
 def betti(arr: ToricArrangement) -> tuple[int, ...]:

@@ -57,9 +57,6 @@ class IntMatrix:
         return IntMatrix(n, n, tuple(tuple(1 if i == j else 0 for j in range(n))
                                      for i in range(n)))
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
-
     def transpose(self) -> "IntMatrix":
         return IntMatrix(self.cols, self.rows,
                          tuple(tuple(self.entries[i][j] for i in range(self.rows))
@@ -337,9 +334,7 @@ def saturation(a: IntMatrix) -> IntMatrix:
 
 def is_primitive(v) -> bool:
     """True iff the gcd of the entries is 1.  The zero vector is rejected."""
-    g = 0
-    for x in v:
-        g = gcd(g, int(x))
+    g = gcd(*map(int, v))
     if g == 0:
         raise ValueError("zero vector has no primitive content")
     return g == 1

@@ -37,10 +37,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 from operator import mul
 
-from .arrangement import Hypersurface, LocalFrame, ToricArrangement, mod1
+from .arrangement import Hypersurface, LocalFrame, ToricArrangement, _keys, _reduced, mod1
 from .lattice import IntMatrix, hnf_add_row, in_row_lattice
 from .lattice import snf  # noqa: F401  (toricarr.poset.snf is looked up by bench/)
 from .polynomial import Polynomial
@@ -92,12 +91,6 @@ def hypersurface_contains(comp: Component, h: Hypersurface) -> bool:
     return _holds(comp, h.chi, h.b)
 
 
-def _reduced(x: int, m: int) -> tuple[int, int]:
-    x %= m
-    r = gcd(x, m)
-    return x // r, m // r
-
-
 def _pieces(comp: Component, frame: LocalFrame, chi, split: bool, local, pairs):
     """The pieces of ``comp`` on the local hypersurfaces (``local``, pair),
     pair in ``pairs``, of the trace of the row ``chi`` in ``frame``: for
@@ -139,7 +132,7 @@ def intersect_system(a: IntMatrix, b) -> list[Component]:
         cut = []
         for comp in comps:
             frame = LocalFrame(comp.sat_basis, comp.values)
-            tr = frame.trace(chi, x)
+            tr = frame.trace(chi, x.numerator, x.denominator)
             if tr is None:
                 if _holds(comp, chi, x):
                     cut.append(comp)
@@ -189,10 +182,6 @@ class IntersectionPoset:
         return total
 
 
-def _label_key(c: Component):
-    return (c.codim, c.sat_basis.entries, c.values)
-
-
 def _sweep(arr: ToricArrangement, found: list[Component], parents: list[set[int]]):
     """Expand every component of ``arr`` layer by layer, from the full torus
     ``found == [full_torus(arr.dim)]``.
@@ -207,7 +196,7 @@ def _sweep(arr: ToricArrangement, found: list[Component], parents: list[set[int]
     ``found``, with an empty set in ``parents``.  C's index is added to the
     parents of W.
     """
-    hyps = arr.hypersurfaces
+    hyps = _keys(arr)
     index = {((), ()): 0}
     frontier = [0]
     while frontier:
@@ -218,16 +207,16 @@ def _sweep(arr: ToricArrangement, found: list[Component], parents: list[set[int]
                 yield False
                 continue
             frame = LocalFrame(comp.sat_basis, comp.values)
-            steps = [(h, tr) for h in hyps if (tr := frame.trace(h.chi, h.b)) is not None]
+            steps = [(chi, tr) for chi, b in hyps if (tr := frame.trace(chi, *b)) is not None]
             yield any(len(pairs) > 1 for _, (_, pairs) in steps)
             seen: set = set()
-            for h, (local, pairs) in steps:
+            for chi, (local, pairs) in steps:
                 new = [pair for pair in pairs if (local, pair) not in seen]
                 if not new:
                     continue
                 seen.update((local, pair) for pair in new)
                 split = len(pairs) > 1
-                for basis, values, u, m in _pieces(comp, frame, h.chi, split, local, new):
+                for basis, values, u, m in _pieces(comp, frame, chi, split, local, new):
                     key = (basis.entries, values)
                     k = index.get(key)
                     if k is None:
@@ -267,7 +256,8 @@ def build_poset(arr: ToricArrangement) -> IntersectionPoset:
     found = [full_torus(arr.dim)]
     parents: list[set[int]] = [set()]
     splits = list(_sweep(arr, found, parents))
-    order = sorted(range(len(found)), key=lambda k: _label_key(found[k]))
+    order = sorted(range(len(found)),
+                   key=lambda k: (found[k].codim, found[k].sat_basis.entries, found[k].values))
     pos = [0] * len(found)
     for i, k in enumerate(order):
         pos[k] = i

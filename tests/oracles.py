@@ -4,11 +4,12 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from math import gcd, lcm, prod
+from operator import mul
 
 import numpy as np
 
-from toricarr.arrangement import Hypersurface, ToricArrangement, mod1, parse, restrict, traces
-from toricarr.cohomology import DrHypothesisError, DrReport, dr_condition_check
+from toricarr.arrangement import Hypersurface, ToricArrangement, mod1, parse
+from toricarr.cohomology import DrHypothesisError, DrReport
 from toricarr.forms import (
     RelationBasis,
     eval_generator,
@@ -33,9 +34,7 @@ from toricarr.poset import (
     Component,
     IntersectionPoset,
     build_poset,
-    component_contains,
     full_torus,
-    hypersurface_contains,
 )
 
 FOUR_LINES_TEXT = ("torus 2\nhyp 1 0 @ 0/1\nhyp 0 1 @ 0/1\n"
@@ -174,8 +173,19 @@ def pair_step_counts(arr, ordering):
 def _step_count_reference(arr, cache, i, prefix):
     sets = cache.get(i)
     if sets is None:
-        sets = cache[i] = tuple(frozenset(t) for t in traces(arr, i))
+        sets = cache[i] = tuple(frozenset(t) for t in traces_reference(arr, i))
     return len(frozenset().union(*[sets[r] for r in prefix]))
+
+
+def _restriction_reference(arr, i, prefix):
+    """The arrangement traced on K_i by ``prefix``, from ``traces_reference``:
+    each component once, in order of first occurrence over the sorted
+    prefix."""
+    trace = traces_reference(arr, i)
+    hyps = []
+    for r in sorted(prefix):
+        hyps += [h for h in trace[r] if h not in hyps]
+    return ToricArrangement(arr.dim - 1, tuple(hyps))
 
 
 def find_dr_ordering_reference(arr):
@@ -218,17 +228,20 @@ def find_dr_ordering_reference(arr):
 
 def dr_poincare_reference(arr, ordering):
     """Deletion-restriction recursion with no memo: every restriction is
-    searched and its ordering checked again, at every occurrence."""
-    report = dr_condition_check(arr, ordering)
-    if not report.verdict:
-        bad = next(k for k, c in enumerate(report.step_counts) if c > k + 1)
+    built from ``traces_reference``, searched and its ordering checked
+    again, at every occurrence."""
+    cache: dict = {}
+    counts = [_step_count_reference(arr, cache, ordering[k], ordering[:k])
+              for k in range(1, len(ordering))]
+    bad = next((k for k, c in enumerate(counts) if c > k + 1), None)
+    if bad is not None:
         raise DrHypothesisError(
-            f"ordering {tuple(x + 1 for x in report.ordering)} cuts "
-            f"{report.step_counts[bad]} components at step {bad + 2}; "
+            f"ordering {tuple(x + 1 for x in ordering)} cuts "
+            f"{counts[bad]} components at step {bad + 2}; "
             "the deletion-restriction recursion does not apply")
     total = Polynomial.binomial(arr.dim)
-    for pos, idx in enumerate(report.ordering):
-        sub = restrict(arr, idx, report.ordering[:pos])
+    for pos, idx in enumerate(ordering):
+        sub = _restriction_reference(arr, idx, ordering[:pos])
         sub_report = find_dr_ordering_reference(sub)
         if sub_report.ordering is None:
             raise DrHypothesisError(
@@ -408,10 +421,30 @@ def intersect_system_reference(a, b):
     return out
 
 
+def _label_test(comp):
+    """Whether a row with a value holds on ``comp`` (is constant on it with
+    that value), from its label and witness alone.  The label lattice is
+    saturated, so a row lies in it iff it is orthogonal to an integer basis
+    of the label's kernel, found once here; the value is read at the
+    witness, scaled to integers over a common denominator ``m``."""
+    kernel = left_kernel(comp.sat_basis.transpose()).entries
+    m = lcm(*(x.denominator for x in comp.witness))
+    point = [x.numerator * (m // x.denominator) for x in comp.witness]
+
+    def holds(chi, b):
+        if any(sum(map(mul, chi, k)) for k in kernel):
+            return False
+        x = sum(map(mul, chi, point))   # chi @ witness = x / m
+        return (x * b.denominator - b.numerator * m) % (m * b.denominator) == 0
+
+    return holds
+
+
 def poset_reference(arr):
     """The intersection poset by the layered sweep with
-    :func:`intersect_system_reference`, ordered by all-pairs
-    ``component_contains`` tests: the covers are the comparable pairs with
+    :func:`intersect_system_reference`, ordered by all-pairs containment
+    tests: W lies in C iff every label row of C holds on W
+    (:func:`_label_test` of W).  The covers are the comparable pairs with
     no component strictly between, and mu(T, W) is minus the sum of mu over
     the components strictly containing W."""
     torus = full_torus(arr.dim)
@@ -420,8 +453,9 @@ def poset_reference(arr):
     while frontier:
         nxt = []
         for comp in frontier:
+            holds = _label_test(comp)
             for h in arr.hypersurfaces:
-                if hypersurface_contains(comp, h):
+                if holds(h.chi, h.b):
                     continue
                 sys_a = comp.sat_basis.with_row(h.chi)
                 for w in intersect_system_reference(sys_a, comp.values + (h.b,)):
@@ -430,8 +464,10 @@ def poset_reference(arr):
                         nxt.append(w)
         frontier = nxt
     comps = tuple(sorted(seen, key=lambda c: (c.codim, c.sat_basis.entries, c.values)))
+    tests = [_label_test(c) for c in comps]
     below = frozenset((i, j) for i, ci in enumerate(comps) for j, cj in enumerate(comps)
-                      if ci.codim > cj.codim and component_contains(ci, cj))
+                      if ci.codim > cj.codim
+                      and all(map(tests[i], cj.sat_basis.entries, cj.values)))
     covers = tuple((i, j) for i, j in sorted(below)
                    if not any((i, k) in below and (k, j) in below for k in range(len(comps))))
     mobius: list[int] = []

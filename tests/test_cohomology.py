@@ -4,7 +4,8 @@ from math import factorial
 
 import pytest
 
-from toricarr.arrangement import ToricArrangement, braid, parse, weyl
+from toricarr import cohomology
+from toricarr.arrangement import ToricArrangement, _keys, braid, parse, weyl
 from toricarr.cohomology import (
     DrHypothesisError,
     betti,
@@ -220,6 +221,39 @@ def test_restriction_may_fail_dr_even_if_parent_passes():
     assert rep.ordering == (0, 1, 2)
     with pytest.raises(DrHypothesisError):
         dr_poincare(arr, rep.ordering)
+
+
+def test_b4_refusal_depends_on_the_nested_orderings():
+    """Along the identity ordering of B4 a nested restriction,
+    {(1,2) @ 0, (1,0) @ 0} in dimension 2, admits no ordering, so the
+    recursion refuses.  It is met along some nested orderings and not
+    others: a memo keyed on sorted hypersurfaces would reuse a polynomial
+    reached along another one and answer 1 20 146 460 525 (the dcp value)."""
+    with pytest.raises(DrHypothesisError, match="restriction to hypersurface 3 admits no "
+                                                "deletion-restriction ordering"):
+        dr_poincare(weyl("B", 4), tuple(range(16)))
+
+
+def test_search_and_recursion_share_the_top_level_traces(monkeypatch):
+    """``find_dr_ordering`` then ``dr_poincare`` on one object, as
+    ``analyze`` and ``poincare --method=dr`` call them, build each trace of
+    the top-level arrangement once; another object builds its own."""
+    arr = weyl("B", 3)
+    keys = _keys(arr)
+    calls = []
+    traces_of = cohomology._traces
+
+    def counted(k, i):
+        if k == keys:
+            calls.append(i)
+        return traces_of(k, i)
+
+    monkeypatch.setattr(cohomology, "_traces", counted)
+    dr_poincare(arr, find_dr_ordering(arr).ordering)
+    assert calls and len(calls) == len(set(calls))
+    first = len(calls)
+    find_dr_ordering(weyl("B", 3))
+    assert len(calls) > first
 
 
 def test_dr_steps_monotone():

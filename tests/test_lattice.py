@@ -175,7 +175,7 @@ def test_left_kernel_three_rows():
     a = M([[1, 1], [1, -1], [2, 0]])
     k = left_kernel(a)
     assert k.rows == 1
-    assert a.transpose().mul_vec(k.row(0)) == (0, 0)
+    assert a.transpose().mul_vec(k.entries[0]) == (0, 0)
     assert in_row_lattice(k, (1, 1, -1))
 
 
