@@ -28,6 +28,10 @@ from operator import mul
 
 from .lattice import IntMatrix, bezout, is_primitive, snf
 
+# Most pieces one trace may cut; LocalFrame.trace refuses a larger g = gcd(c)
+# before it enumerates them (g reaches a few hundred on small exponents).
+MAX_TRACE_PIECES = 10_000
+
 
 class ParseError(ValueError):
     """Arrangement file error, carrying a line number and a stable code.
@@ -309,11 +313,14 @@ class LocalFrame:
         otherwise the sign-normalised local character c/g, g = gcd(c), with
         the values of its g local hypersurfaces as reduced pairs (numerator,
         denominator): value t is sign * (v + t)/g mod 1, v = num/den - chi @ w
-        reduced mod 1."""
+        reduced mod 1.  Raises ValueError when g > MAX_TRACE_PIECES."""
         c = [sum(map(mul, chi, col)) for col in self._cols]
         g = gcd(*c)
         if not g:
             return None
+        if g > MAX_TRACE_PIECES:
+            raise ValueError(f"a trace cuts g = {g} pieces, more than the limit "
+                             f"of {MAX_TRACE_PIECES}")
         sign = 1 if next(filter(None, c)) > 0 else -1
         d = lcm(self._den, den)
         v = (num * (d // den) - sum(map(mul, chi, self._w)) * (d // self._den)) % d

@@ -2,7 +2,8 @@
 
 Every report opens with the command name and the sha256 of the input file,
 followed by ``key: value`` result lines in a fixed order.  Exit codes:
-0 success, 1 user error (bad file, bad flags), 2 refusal (a requested
+0 success, 1 user error (bad file, bad flags, or an input too large: a
+trace past ``MAX_TRACE_PIECES``, or out of memory), 2 refusal (a requested
 deletion-restriction computation whose hypothesis fails).
 """
 
@@ -253,6 +254,10 @@ def main(argv=None) -> int:
     except DrHypothesisError as exc:
         print(f"toricarr: refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
+    except MemoryError as exc:
+        print(f"toricarr: out of memory: {exc}" if str(exc) else "toricarr: out of memory",
+              file=sys.stderr)
+        return EXIT_USER_ERROR
 
 
 def run():

@@ -18,10 +18,11 @@ from the full torus.
 The poset needs no system solved: the layered sweep of :func:`build_poset`
 takes the step for each component and each hypersurface, and records each
 piece as a child of the component it was cut from; no pair of components
-is compared for containment.  Those edges are the covers of the poset, and
-the Mobius values from the full torus are summed along them, so the poset
-stores both and never builds its set of comparable pairs.  A local
-hypersurface that an earlier hypersurface already traced on C is skipped.
+is compared for containment.  Those edges are the covers of the poset; a
+walk up them from a component reaches its ancestors, whose Mobius values
+give its own, so the poset stores the covers alone and never builds its
+set of comparable pairs.  A local hypersurface that an earlier
+hypersurface already traced on C is skipped.
 
 The same sweep decides unimodularity (every subset intersection empty or
 connected): the arrangement is unimodular iff no hypersurface K splits a
@@ -245,10 +246,10 @@ def build_poset(arr: ToricArrangement) -> IntersectionPoset:
     the canonical instance of W, and has codim(C) + 1.  When W ⊊ C, some K
     contains W but not C, and W lies in a component of C ∩ K; so every
     strict containment is a chain of such edges, and the edges are exactly
-    the covers.  Over the codimension-sorted components, one bitmask per
-    component holds its strict ancestors (the union over its cover parents
-    p of p and p's ancestors), and mu(T, W) is minus the sum of mu over W's
-    ancestors.
+    the covers.  mu(T, W) is minus the sum of mu over W's strict ancestors,
+    which a walk up W's cover parents visits once each.  The sweep runs by
+    codimension, so each parent is found, and its mu known, before its
+    children; no ancestor set outlives its component's walk.
 
     The sweep expands every component, so it also gives the unimodularity
     verdict (see the module docstring): no hypersurface splits a component.
@@ -256,27 +257,20 @@ def build_poset(arr: ToricArrangement) -> IntersectionPoset:
     found = [full_torus(arr.dim)]
     parents: list[set[int]] = [set()]
     splits = list(_sweep(arr, found, parents))
+    mobius = [1]
+    for k in range(1, len(found)):
+        seen, stack = set(), [k]
+        while stack:
+            new = parents[stack.pop()] - seen
+            seen |= new
+            stack.extend(new)
+        mobius.append(-sum(mobius[p] for p in seen))
     order = sorted(range(len(found)),
                    key=lambda k: (found[k].codim, found[k].sat_basis.entries, found[k].values))
-    pos = [0] * len(found)
-    for i, k in enumerate(order):
-        pos[k] = i
-    above = []
-    mobius = []
-    for i, k in enumerate(order):
-        mask = 0
-        for p in parents[k]:
-            mask |= above[pos[p]] | (1 << pos[p])
-        above.append(mask)
-        mu = 0
-        while mask:
-            low = mask & -mask
-            mu -= mobius[low.bit_length() - 1]
-            mask ^= low
-        mobius.append(mu if i else 1)
+    pos = {k: i for i, k in enumerate(order)}
     covers = sorted((pos[k], pos[p]) for k in range(len(found)) for p in parents[k])
     return IntersectionPoset(arr.dim, tuple(found[k] for k in order), tuple(covers),
-                             tuple(mobius), not any(splits))
+                             tuple(mobius[k] for k in order), not any(splits))
 
 
 def is_unimodular(arr: ToricArrangement) -> bool:

@@ -1,6 +1,6 @@
 import pytest
 
-from toricarr.arrangement import parse
+from toricarr.arrangement import MAX_TRACE_PIECES, parse
 from toricarr.cli import main
 
 FOUR_LINES = ("torus 2\nhyp 1 0 @ 0/1\nhyp 0 1 @ 0/1\n"
@@ -191,6 +191,32 @@ def test_failed_computation_leaves_stdout_empty(workdir, capsys, monkeypatch,
     assert code == 1
     assert out == ""
     assert err == "toricarr: too large\n"
+
+
+@pytest.mark.parametrize("argv", [["analyze"], ["poset"], ["poincare", "--method=dcp"],
+                                  ["poincare", "--method=dr"], ["unimodular"], ["drtype"]],
+                         ids=["analyze", "poset", "dcp", "dr", "unimodular", "drtype"])
+def test_trace_past_piece_limit_refused(workdir, capsys, argv):
+    # on z2 = exp(2 pi i/3), z1^(10^20) z2 = 1 cuts 10^20 points: refused
+    # before any of them is enumerated
+    (workdir / "huge.txt").write_text(
+        "torus 2\nhyp 100000000000000000000 1 @ 0/1\nhyp 0 1 @ 1/3\n")
+    code, out, err = run(capsys, *argv, "huge.txt")
+    assert code == 1
+    assert out == ""
+    assert err == ("toricarr: a trace cuts g = 100000000000000000000 pieces, "
+                   f"more than the limit of {MAX_TRACE_PIECES}\n")
+
+
+def test_out_of_memory_exit_1(workdir, capsys, monkeypatch):
+    def fail(arr, samples, tol, seed):
+        raise MemoryError("Unable to allocate 22.4 GiB")
+
+    monkeypatch.setattr("toricarr.cli.degree2_relations", fail)
+    code, out, err = run(capsys, "relations", "--samples=100000000", "four_lines.txt")
+    assert code == 1
+    assert out == ""
+    assert err == "toricarr: out of memory: Unable to allocate 22.4 GiB\n"
 
 
 def test_drtype_golden(workdir, capsys):

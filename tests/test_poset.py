@@ -1,10 +1,11 @@
+import operator
 import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from toricarr.arrangement import ToricArrangement, braid, parse, weyl
+from toricarr.arrangement import Hypersurface, ToricArrangement, braid, parse, weyl
 from toricarr.lattice import IntMatrix, rank, saturation, snf
 from toricarr.poset import (
     build_poset,
@@ -245,11 +246,20 @@ POSET_IDS = ["four_lines", "two_curves", "A2", "A3", "A4", "A5", "B3", "B4",
              "C3", "D4", "G2", "braid3", "braid4", "braid5"]
 
 
+def _assert_mobius_alternates(poset):
+    # [T, W] is the lattice of flats of W's local central arrangement, in
+    # which mu(T, W) is nonzero with the sign (-1)^rank
+    for mu, comp in zip(poset.mobius, poset.components):
+        assert (-1) ** comp.codim * mu > 0
+
+
 def _assert_poset_matches_reference(arr):
     """Labels, dims, order, covers, mu and the verdict exactly; witnesses
     only as points: each lies on its component (every label row takes its
-    value there) and sees the same hypersurfaces as the reference's."""
+    value there) and sees the same hypersurfaces as the reference's.  mu
+    alternates in sign."""
     poset, ref = build_poset(arr), poset_reference(arr)
+    _assert_mobius_alternates(poset)
     assert poset.components == ref.components
     assert [c.dim for c in poset.components] == [c.dim for c in ref.components]
     assert poset.covers == ref.covers
@@ -285,6 +295,42 @@ def test_poset_order_consistent_with_dimension():
     poset = build_poset(four_lines())
     for i, j in poset.covers:
         assert poset.components[i].dim + 1 == poset.components[j].dim
+
+
+def f4():
+    """Toric Weyl arrangement of F4 (``weyl`` has no F4): the positive roots
+    by reflection closure of the simple roots, c[i][j] = <alpha_j, alpha_i^vee>,
+    alpha_3 and alpha_4 short."""
+    cartan = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -2, 2, -1], [0, 0, -1, 2]]
+    roots = {tuple(int(j == i) for j in range(4)) for i in range(4)}
+    frontier = list(roots)
+    while frontier:
+        nxt = []
+        for beta in frontier:
+            for i, row in enumerate(cartan):
+                pairing = sum(map(operator.mul, beta, row))
+                refl = tuple(x - pairing if j == i else x for j, x in enumerate(beta))
+                if refl not in roots:
+                    roots.add(refl)
+                    nxt.append(refl)
+        frontier = nxt
+    pos = sorted(r for r in roots if min(r) >= 0)
+    assert len(pos) == 24
+    return ToricArrangement(4, tuple(Hypersurface(r, Fraction(0)) for r in pos))
+
+
+def test_poset_f4():
+    poset = build_poset(f4())
+    assert len(poset.components) == 441
+    assert poset.layer_sizes() == (1, 24, 140, 204, 72)
+    poincare = poset.poincare()
+    assert poincare.coefficients == (1, 28, 286, 1260, 2153)
+    assert sum((-1) ** k * c for k, c in enumerate(poincare.coefficients)) == 1152
+
+
+@pytest.mark.parametrize("make", [f4, lambda: weyl("B", 5)], ids=["F4", "B5"])
+def test_mobius_alternates(make):
+    _assert_mobius_alternates(build_poset(make()))
 
 
 # -- Poincare polynomial ------------------------------------------------------------
