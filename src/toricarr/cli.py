@@ -28,14 +28,6 @@ EXIT_USER_ERROR = 1
 EXIT_REFUSED = 2
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse variant whose usage errors exit with code 1, not 2."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        raise SystemExit(self.prog + ": error: " + message)
-
-
 def _load(path: str) -> tuple[ToricArrangement, str]:
     with open(path, "rb") as fh:
         data = fh.read()
@@ -194,9 +186,9 @@ def cmd_relations(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="toricarr",
-                     description="exact computations with toric arrangements")
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="toricarr",
+                                     description="exact computations with toric arrangements")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="full report on an arrangement file")
@@ -241,10 +233,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        if isinstance(exc.code, str):
-            print(exc.code, file=sys.stderr)
-            return EXIT_USER_ERROR
+    except SystemExit as exc:  # usage errors exit with code 1, --help with 0
         return EXIT_USER_ERROR if exc.code else EXIT_OK
     try:
         return args.func(args)

@@ -7,11 +7,13 @@ every linear relation among their wedge products already holds pointwise on
 the complement; sampling the wedge monomials at random points and computing a
 numerical null space therefore recovers the degree-2 relation space.
 
-The evaluation matrix is filled in place, in one pass over chunks of samples
-of bounded size: the points of all samples are drawn first, and each chunk's
-character values are tested, its covectors computed and its wedge products
-written straight into the matrix.  The null space comes from the SVD of the
-square factor R of the matrix's QR decomposition.
+All sample points come from one generator: every round draws the points
+still open as one array, and only the rows that fail the draw test are drawn
+again.  The evaluation matrix is then filled in place, in one pass over
+chunks of samples of bounded size: each chunk's covectors are computed from
+the points and their character values, and its wedge products written
+straight into the matrix.  The null space comes from the SVD of the square
+factor R of the matrix's QR decomposition.
 """
 
 from __future__ import annotations
@@ -71,30 +73,37 @@ _TINY = np.finfo(float).tiny
 _CHUNK_BYTES = 1 << 20
 
 
-def _draw(rng, l: int):
-    """One draw of l coordinates: log2 of the moduli, then the arguments."""
-    return rng.uniform(-1.0, 1.0, l), rng.uniform(0.0, 2.0 * np.pi, l)
-
-
-def _point(log2_modulus, angle):
-    return 2.0 ** log2_modulus * np.exp(1j * angle)
-
-
 def sample_point(arr: ToricArrangement, seed) -> np.ndarray:
-    """Deterministic random point of the complement.
+    """Deterministic random point of the complement: the one-point case of
+    :func:`_points`."""
+    return _points(arr, 1, seed)[0][0]
 
-    Coordinates get log-uniform modulus in [1/2, 2] and uniform argument;
-    draws landing within 1e-3 of a hypersurface are rejected and redrawn,
-    with a budget of 1000 attempts.  So are draws where some character
-    value overflows or underflows (not finite, or of modulus below the
-    smallest normal float): there a generator's covector would read as 0.
+
+def _points(arr: ToricArrangement, samples: int, seed):
+    """``samples`` random points of the complement, as the rows of a
+    samples x l array, and their character values (samples x n), all drawn
+    from one default_rng(seed).
+
+    Coordinates get log-uniform modulus in [1/2, 2] and uniform argument.
+    Each round draws the log2 moduli, then the arguments, of the rows still
+    open, in row order.  Rows landing within 1e-3 of a hypersurface are
+    drawn again, with a budget of 1000 rounds.  So are rows where some
+    character value overflows or underflows (not finite, or of modulus below
+    the smallest normal float): there a generator's covector would read as 0.
     """
     exps, consts = _characters(arr)
     rng = np.random.default_rng(seed)
+    z = np.empty((samples, arr.dim), dtype=complex)
+    w = np.empty((samples, arr.n), dtype=complex)
+    rows = np.arange(samples)
     for _ in range(1000):
-        z = _point(*_draw(rng, arr.dim))
-        if _char_values(z[None], exps, consts)[1][0]:
-            return z
+        log2_modulus = rng.uniform(-1.0, 1.0, (len(rows), arr.dim))
+        angle = rng.uniform(0.0, 2.0 * np.pi, (len(rows), arr.dim))
+        z[rows] = 2.0 ** log2_modulus * np.exp(1j * angle)
+        w[rows], ok = _char_values(z[rows], exps, consts)
+        rows = rows[~ok]
+        if not len(rows):
+            return z, w
     raise SamplingError("1000 draws all fell within 1e-3 of a hypersurface "
                         "or out of floating-point range of a character")
 
@@ -109,13 +118,12 @@ def _characters(arr: ToricArrangement):
 def _char_values(z: np.ndarray, exps: np.ndarray, consts: np.ndarray):
     """chi_j(z) for every point row of z (c x l) and exponent row j, and per
     point whether every value is finite, of modulus at least the smallest
-    normal float and at least 1e-3 from its constant: the test of each draw,
-    in sample_point and in _evaluation_matrix alike."""
+    normal float and at least 1e-3 from its constant: the test of each draw
+    in :func:`_points`."""
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        factors = z[:, None, :] ** exps
-        w = np.ones(factors.shape[:2], dtype=complex)
+        w = np.ones((len(z), len(exps)), dtype=complex)
         for k in range(z.shape[1]):
-            w = w * factors[:, :, k]
+            w = w * z[:, k, None] ** exps[:, k]
         ok = np.isfinite(w) & (np.abs(w) >= _TINY) & (np.abs(w - consts) >= 1e-3)
     return w, np.all(ok, axis=1)
 
@@ -165,38 +173,29 @@ class RelationBasis:
 
 
 def _evaluation_matrix(arr: ToricArrangement, samples: int, seed) -> np.ndarray:
-    """The wedge monomials at the points sample_point(arr, [seed, k]), k < samples.
+    """The wedge monomials at the points _points(arr, samples, seed).
 
     Rows k C(l,2) .. (k+1) C(l,2) - 1 are sample k's components of Lambda^2,
     pairs p < q in lex order; columns are the monomials in the order of
-    :func:`wedge_monomials`.  Each sample's first draw comes from its own
-    default_rng([seed, k]), as in sample_point; the draws are tested together
-    per chunk, and a sample whose first draw fails is replayed by sample_point.
+    :func:`wedge_monomials`.
     """
     l, g = arr.dim, arr.dim + arr.n
     a, b = np.triu_indices(g, 1)
     pairs = tuple(zip(*np.triu_indices(l, 1)))
     exps, consts = _characters(arr)
+    z, w = _points(arr, samples, seed)
     mat = np.empty((samples * len(pairs), len(a)), dtype=complex)
     blocks = mat.reshape(samples, len(pairs), len(a))
-    log2_modulus, angle = np.empty((2, samples, l))
-    for k in range(samples):
-        log2_modulus[k], angle[k] = _draw(np.random.default_rng([seed, k]), l)
-    z = _point(log2_modulus, angle)
     coords = np.arange(l)
     sample_bytes = 16 * (arr.n * (l + 4) + l * g + 5 * len(a))
     step = max(1, _CHUNK_BYTES // max(1, sample_bytes))
     for chunk in (slice(start, start + step) for start in range(0, samples, step)):
-        w, ok = _char_values(z[chunk], exps, consts)
-        for k in np.flatnonzero(~ok).tolist():
-            z[chunk.start + k] = sample_point(arr, [seed, chunk.start + k])
-            w[k] = _char_values(z[chunk.start + k, None], exps, consts)[0][0]
-        zc = z[chunk].T
+        zc, wc = z[chunk].T, w[chunk]
         # cov[p, s, i]: slot p of generator i's covector at the chunk's sample s
         # (see eval_generator).
-        cov = np.zeros((l, len(w), g), dtype=complex)
+        cov = np.zeros((l, len(wc), g), dtype=complex)
         cov[coords, :, coords] = 1.0 / zc
-        cov[:, :, l:] = w / (w - consts) * exps.T[:, None, :] / zc[:, :, None]
+        cov[:, :, l:] = wc / (wc - consts) * exps.T[:, None, :] / zc[:, :, None]
         for r, (p, q) in enumerate(pairs):
             np.subtract(cov[p][:, a] * cov[q][:, b], cov[q][:, a] * cov[p][:, b],
                         out=blocks[chunk, r])

@@ -190,10 +190,12 @@ def _sweep(arr: ToricArrangement, found: list[Component], parents: list[set[int]
     Each component C is expanded in its :class:`~toricarr.arrangement.LocalFrame`,
     where each hypersurface K with c != 0 traces g = gcd(c) local
     hypersurfaces (c', value).  Yields whether some K splits C (g > 1)
-    before C's children are built.  A local key (c', value) that an earlier
-    K already traced is left out; each other one names a child W of C,
-    whose label and point :func:`_pieces` gives.  W is looked up by its
-    integer label; on first sight its ``Component`` is appended to
+    before C's children are built; a trace refused for g past
+    ``MAX_TRACE_PIECES`` (>= 2) is a split, yielded before the refusal is
+    raised, so :func:`is_unimodular` still answers.  A local key (c', value)
+    that an earlier K already traced is left out; each other one names a
+    child W of C, whose label and point :func:`_pieces` gives.  W is looked
+    up by its integer label; on first sight its ``Component`` is appended to
     ``found``, with an empty set in ``parents``.  C's index is added to the
     parents of W.
     """
@@ -208,7 +210,12 @@ def _sweep(arr: ToricArrangement, found: list[Component], parents: list[set[int]
                 yield False
                 continue
             frame = LocalFrame(comp.sat_basis, comp.values)
-            steps = [(chi, tr) for chi, b in hyps if (tr := frame.trace(chi, *b)) is not None]
+            try:
+                steps = [(chi, tr) for chi, b in hyps
+                         if (tr := frame.trace(chi, *b)) is not None]
+            except ValueError:
+                yield True
+                raise
             yield any(len(pairs) > 1 for _, (_, pairs) in steps)
             seen: set = set()
             for chi, (local, pairs) in steps:

@@ -12,9 +12,9 @@ from toricarr.arrangement import Hypersurface, ToricArrangement, mod1, parse
 from toricarr.cohomology import DrHypothesisError, DrReport
 from toricarr.forms import (
     RelationBasis,
+    _points,
     eval_generator,
     generators,
-    sample_point,
     wedge_monomials,
 )
 from toricarr.hyperplane import top_local_multiplicity
@@ -88,9 +88,9 @@ def monomial_matrix_reference(gens, monos, z):
 
 
 def degree2_relations_reference(arr, samples=None, tol=1e-8, seed=0):
-    """``degree2_relations`` by the per-sample path: one ``sample_point`` and
-    one ``eval_generator`` per generator for each sample, the blocks stacked,
-    and the thin SVD of the whole tall matrix."""
+    """``degree2_relations`` by the per-sample path: at each of the points
+    ``_points(arr, samples, seed)``, one ``eval_generator`` per generator,
+    the blocks stacked, and the thin SVD of the whole tall matrix."""
     gens = generators(arr)
     monos = wedge_monomials(arr.dim, arr.n)
     if samples is None:
@@ -98,8 +98,7 @@ def degree2_relations_reference(arr, samples=None, tol=1e-8, seed=0):
     p, q = np.triu_indices(arr.dim, 1)
     a, b = np.triu_indices(len(gens), 1)
     blocks = []
-    for k in range(samples):
-        z = sample_point(arr, [seed, k])
+    for z in _points(arr, samples, seed)[0]:
         covs = np.array([eval_generator(g, z) for g in gens]).reshape(len(gens), arr.dim)
         va, vb = covs[a], covs[b]
         blocks.append((va[:, p] * vb[:, q] - va[:, q] * vb[:, p]).T)

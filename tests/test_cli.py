@@ -193,19 +193,33 @@ def test_failed_computation_leaves_stdout_empty(workdir, capsys, monkeypatch,
     assert err == "toricarr: too large\n"
 
 
+HUGE = "torus 2\nhyp 100000000000000000000 1 @ 0/1\nhyp 0 1 @ 1/3\n"
+HUGE_SHA = "dca5a068b1e7a487ace431508cecca6aac5e3dbb4dcb7c50c7c964972aef1c15"
+
+
 @pytest.mark.parametrize("argv", [["analyze"], ["poset"], ["poincare", "--method=dcp"],
-                                  ["poincare", "--method=dr"], ["unimodular"], ["drtype"]],
-                         ids=["analyze", "poset", "dcp", "dr", "unimodular", "drtype"])
+                                  ["poincare", "--method=dr"], ["drtype"]],
+                         ids=["analyze", "poset", "dcp", "dr", "drtype"])
 def test_trace_past_piece_limit_refused(workdir, capsys, argv):
     # on z2 = exp(2 pi i/3), z1^(10^20) z2 = 1 cuts 10^20 points: refused
     # before any of them is enumerated
-    (workdir / "huge.txt").write_text(
-        "torus 2\nhyp 100000000000000000000 1 @ 0/1\nhyp 0 1 @ 1/3\n")
+    (workdir / "huge.txt").write_text(HUGE)
     code, out, err = run(capsys, *argv, "huge.txt")
     assert code == 1
     assert out == ""
     assert err == ("toricarr: a trace cuts g = 100000000000000000000 pieces, "
                    f"more than the limit of {MAX_TRACE_PIECES}\n")
+
+
+def test_unimodular_answers_past_piece_limit(workdir, capsys):
+    # the refused trace has g = 10^20 > 1 pieces, so it is a split
+    (workdir / "huge.txt").write_text(HUGE)
+    code, out, err = run(capsys, "unimodular", "huge.txt")
+    assert (code, err) == (0, "")
+    assert out == ("command: unimodular\n"
+                   "input: huge.txt\n"
+                   f"sha256: {HUGE_SHA}\n"
+                   "unimodular: false\n")
 
 
 def test_out_of_memory_exit_1(workdir, capsys, monkeypatch):

@@ -11,7 +11,9 @@ from toricarr.forms import (
     FormGenerator,
     RelationBasis,
     _char_values,
+    _characters,
     _evaluation_matrix,
+    _points,
     degree2_relations,
     eval_generator,
     generators,
@@ -54,6 +56,21 @@ def test_sample_point_margin():
 def test_sample_point_empty_arrangement():
     z = sample_point(ToricArrangement(2, ()), 0)
     assert z.shape == (2,)
+
+
+HUGE_EXPONENT = "torus 2\nhyp 1100 1 @ 0/1\nhyp 1 0 @ 0/1\nhyp 1 1 @ 1/3\n"
+
+
+def test_sample_point_is_first_row_of_points():
+    """sample_point is the one-point case of _points; the pinned point, whose
+    first draw puts z1^1100 out of floating-point range and is drawn again,
+    fixes the public sampler's stream."""
+    arr = parse(HUGE_EXPONENT)
+    for seed in (0, 7, 34, [3, 5]):
+        assert np.array_equal(sample_point(arr, seed), _points(arr, 1, seed)[0][0])
+    assert np.array_equal(sample_point(arr, 34),
+                          [0.7161016114201834 - 0.6663720411238004j,
+                           1.2053688035760652 - 0.8789726684399778j])
 
 
 # -- generator evaluation ----------------------------------------------------------
@@ -173,7 +190,7 @@ def test_dimension_consistency(make, expected_monos):
 ])
 def test_monomial_blocks_match_reference(make):
     """Sample k's rows of the evaluation matrix are the per-entry block at
-    sample_point(arr, [seed, k])."""
+    row k of _points(arr, samples, seed)."""
     arr = make()
     gens = generators(arr)
     monos = wedge_monomials(arr.dim, arr.n)
@@ -181,32 +198,41 @@ def test_monomial_blocks_match_reference(make):
     for seed in range(3):
         mat = _evaluation_matrix(arr, 4, seed)
         assert mat.shape == (4 * rows, len(monos))
+        z, _ = _points(arr, 4, seed)
         for k in range(4):
             block = mat[k * rows:(k + 1) * rows]
-            ref = monomial_matrix_reference(gens, monos, sample_point(arr, [seed, k]))
+            ref = monomial_matrix_reference(gens, monos, z[k])
             assert np.max(np.abs(block - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-def test_evaluation_matrix_replays_failed_first_draws(monkeypatch):
-    """z1^1100 z2 overflows or underflows on some first draws; those samples
-    are replayed by sample_point, and every sample's row (l = 2: one row per
-    sample) is still the per-entry block at sample_point(arr, [seed, k])."""
-    arr = parse("torus 2\nhyp 1100 1 @ 0/1\nhyp 1 0 @ 0/1\nhyp 1 1 @ 1/3\n")
+def test_points_redraw_only_failed_rows(monkeypatch):
+    """z1^1100 overflows or underflows on some draws of the first round;
+    only those rows are drawn again, every returned row passes the draw
+    test, and every sample's row of the evaluation matrix (l = 2: one row
+    per sample) is the per-entry block at that point."""
+    arr = parse(HUGE_EXPONENT)
     gens = generators(arr)
     monos = wedge_monomials(arr.dim, arr.n)
     samples = 4 * len(monos)
-    replayed = []
+    rounds = []
 
-    def counting(arr_, seed):
-        replayed.append(seed[1])
-        return sample_point(arr_, seed)
+    def recording(z, exps, consts):
+        w, ok = _char_values(z, exps, consts)
+        rounds.append(ok)
+        return w, ok
 
-    monkeypatch.setattr(forms, "sample_point", counting)
-    mat = _evaluation_matrix(arr, samples, 0)
+    monkeypatch.setattr(forms, "_char_values", recording)
+    z, w = _points(arr, samples, 0)
     monkeypatch.undo()
-    assert replayed and replayed == sorted(set(replayed))
+    assert len(rounds[0]) == samples and not rounds[0].all()
+    for before, after in zip(rounds, rounds[1:]):
+        assert len(after) == np.count_nonzero(~before)
+    assert rounds[-1].all()
+    values, ok = _char_values(z, *_characters(arr))
+    assert ok.all() and np.array_equal(values, w)
+    mat = _evaluation_matrix(arr, samples, 0)
     for k in range(samples):
-        ref = monomial_matrix_reference(gens, monos, sample_point(arr, [0, k]))
+        ref = monomial_matrix_reference(gens, monos, z[k])
         assert np.max(np.abs(mat[k:k + 1] - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -223,7 +249,8 @@ def test_batched_test_rejects_near_and_out_of_range_draws():
 
 def test_matches_per_sample_reference():
     """Batched evaluation and the SVD of the QR factor against the
-    per-sample path with a thin SVD of the whole matrix."""
+    per-sample path, at the same points, with a thin SVD of the whole
+    matrix."""
     rng = random.Random(5)
     arrs = [four_lines(), braid(3), braid(4), weyl("A", 3), weyl("B", 3),
             weyl("C", 3), weyl("G2", 2), weyl("D", 4)]
