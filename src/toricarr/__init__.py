@@ -5,6 +5,11 @@ unimodular and deletion-restriction-type arrangements, computes Poincare
 polynomials of complements by two independent methods, and numerically
 recovers the degree-2 relations among the logarithmic 1-form generators of
 the cohomology of the complement.
+
+Everything is exact except that numeric step, :mod:`toricarr.forms`, the
+only module that uses numpy.  It is loaded lazily: ``import toricarr`` does
+not import numpy, and the first attribute access on ``toricarr.forms`` (or on
+one of its names re-exported here) loads both.
 """
 
 from .lattice import IntMatrix, hnf, snf, left_kernel, saturation, is_primitive
@@ -40,15 +45,41 @@ from .cohomology import (
     dr_poincare,
     betti,
 )
-from .forms import (
-    FormGenerator,
-    RelationBasis,
-    generators,
-    wedge_monomials,
-    sample_point,
-    eval_generator,
-    degree2_relations,
-    verify_relation,
+
+
+def _lazy_module(name):
+    """Register module ``name`` in ``sys.modules``; it runs on first attribute access."""
+    import importlib.util
+    import sys
+
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+forms = _lazy_module(__name__ + ".forms")
+
+_FORMS_NAMES = (
+    "FormGenerator",
+    "RelationBasis",
+    "generators",
+    "wedge_monomials",
+    "sample_point",
+    "eval_generator",
+    "degree2_relations",
+    "verify_relation",
 )
+
+
+def __getattr__(name):
+    if name in _FORMS_NAMES:
+        return getattr(forms, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+# ``from toricarr import *`` keeps the names of forms (and so loads it).
+__all__ = [name for name in globals() if not name.startswith("_")] + list(_FORMS_NAMES)
 
 __version__ = "0.1.0"

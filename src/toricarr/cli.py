@@ -5,6 +5,9 @@ followed by ``key: value`` result lines in a fixed order.  Exit codes:
 0 success, 1 user error (bad file, bad flags, or an input too large: a
 trace past ``MAX_TRACE_PIECES``, or out of memory), 2 refusal (a requested
 deletion-restriction computation whose hypothesis fails).
+
+numpy is loaded only by ``relations``: :mod:`toricarr.forms` is a lazy module
+(see the package docstring), touched only inside :func:`cmd_relations`.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import argparse
 import hashlib
 import sys
 
+from . import forms
 from .arrangement import ToricArrangement, parse, serialize, weyl
 from .cohomology import (
     DrHypothesisError,
@@ -20,7 +24,6 @@ from .cohomology import (
     dr_poincare,
     find_dr_ordering,
 )
-from .forms import SamplingError, degree2_relations, generators, wedge_monomials
 from .poset import build_poset, is_unimodular
 
 EXIT_OK = 0
@@ -167,10 +170,16 @@ def cmd_weyl(args) -> int:
 
 
 def cmd_relations(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     arr, digest = _load(args.file)
-    monos = wedge_monomials(arr.dim, arr.n)
-    gens = generators(arr)
-    basis = degree2_relations(arr, samples=args.samples, tol=args.tol, seed=args.seed)
+    monos = forms.wedge_monomials(arr.dim, arr.n)
+    gens = forms.generators(arr)
+    try:
+        basis = forms.degree2_relations(arr, samples=args.samples, tol=args.tol,
+                                        seed=args.seed)
+    except forms.SamplingError as exc:  # exit 1, without main loading forms to test it
+        raise ValueError(str(exc)) from exc
     h2 = dcp_poincare(arr).coefficient(2)
     _header("relations", args.file, digest)
     _emit("samples", basis.samples)
@@ -237,7 +246,7 @@ def main(argv=None) -> int:
         return EXIT_USER_ERROR if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (OSError, ValueError, SamplingError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"toricarr: {exc}", file=sys.stderr)
         return EXIT_USER_ERROR
     except DrHypothesisError as exc:

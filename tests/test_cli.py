@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import toricarr
 from toricarr.arrangement import MAX_TRACE_PIECES, parse
 from toricarr.cli import main
 
@@ -226,8 +232,10 @@ def test_out_of_memory_exit_1(workdir, capsys, monkeypatch):
     def fail(arr, samples, tol, seed):
         raise MemoryError("Unable to allocate 22.4 GiB")
 
-    monkeypatch.setattr("toricarr.cli.degree2_relations", fail)
-    code, out, err = run(capsys, "relations", "--samples=100000000", "four_lines.txt")
+    # default samples: if the patch misses, the real run is small and fails
+    # the assertions instead of allocating gigabytes
+    monkeypatch.setattr("toricarr.forms.degree2_relations", fail)
+    code, out, err = run(capsys, "relations", "four_lines.txt")
     assert code == 1
     assert out == ""
     assert err == "toricarr: out of memory: Unable to allocate 22.4 GiB\n"
@@ -354,6 +362,13 @@ def test_relations_bad_flag_leaves_stdout_empty(workdir, capsys, flag):
     assert ("samples" if flag == "--samples=1" else "0 < tol < 1") in err
 
 
+def test_relations_negative_seed_exit_1(workdir, capsys):
+    code, out, err = run(capsys, "relations", "--seed=-1", "four_lines.txt")
+    assert code == 1
+    assert out == ""
+    assert err == "toricarr: --seed must be a non-negative integer, got -1\n"
+
+
 def test_parse_error_exit_1(workdir, capsys):
     code, _, err = run(capsys, "analyze", "bad.txt")
     assert code == 1
@@ -386,3 +401,90 @@ def test_analyze_methods_agree_on_dr_fixtures(workdir, capsys):
         lines = dict(l.split(": ", 1) for l in out.splitlines() if ": " in l)
         assert lines["dr_type"] == "true"
         assert lines["poincare_dcp"] == lines["poincare_dr"]
+
+
+# -- numpy is loaded only by `relations` (toricarr.forms is a lazy module) ----
+
+# The public names of the package when it imported forms eagerly.
+PUBLIC_NAMES = (
+    "CentralArrangement", "Component", "DrHypothesisError", "DrReport", "FormGenerator",
+    "Hypersurface", "IntMatrix", "IntersectionPoset", "ParseError", "Polynomial",
+    "RelationBasis", "SubspaceLattice", "ToricArrangement", "arrangement", "betti", "braid",
+    "build_poset", "cohomology", "dcp_poincare", "degree2_relations", "delete",
+    "dr_condition_check", "dr_poincare", "eval_generator", "find_dr_ordering", "forms",
+    "generators", "hnf", "hyperplane", "intersect_system", "intersection_lattice",
+    "is_primitive", "is_unimodular", "lattice", "left_kernel", "local_arrangement",
+    "nbc_dimensions", "parse", "polynomial", "poset", "restrict", "restriction",
+    "sample_point", "saturation", "serialize", "snf", "top_local_multiplicity",
+    "verify_relation", "wedge_monomials", "weyl", "whitney_poincare", "__version__",
+)
+
+# Runs the CLI and then prints, as the last line of stderr, whether numpy was imported.
+CLI_CHILD = """
+import sys
+import toricarr.cli
+code = toricarr.cli.main(sys.argv[1:])
+print("numpy" in sys.modules, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def fresh_python(code, *args, cwd=None):
+    """Run ``python -c code args`` in a new interpreter with this toricarr on the path."""
+    src = str(Path(toricarr.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", code, *args], cwd=cwd, capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
+
+
+def run_fresh(workdir, *argv):
+    """(exit code, stdout, stderr, numpy imported) of the CLI in a new interpreter."""
+    done = fresh_python(CLI_CHILD, *argv, cwd=workdir)
+    err, _, loaded = done.stderr.rstrip("\n").rpartition("\n")
+    return done.returncode, done.stdout, err + "\n" if err else "", loaded == "True"
+
+
+def test_package_keeps_public_names():
+    missing = [name for name in PUBLIC_NAMES if not hasattr(toricarr, name)]
+    assert missing == []
+    assert toricarr.degree2_relations is toricarr.forms.degree2_relations
+    assert toricarr.FormGenerator is toricarr.forms.FormGenerator
+    assert not hasattr(toricarr, "no_such_name")
+    star = {}
+    exec("from toricarr import *", star)
+    assert set(PUBLIC_NAMES) - {"__version__"} <= star.keys()
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # bench/cold_child.py traces the CLI after this import: it needs forms and
+    # hyperplane registered in sys.modules; forms loads numpy on first use
+    done = fresh_python("import sys, toricarr.cli; "
+                        "print(*(m in sys.modules for m in "
+                        "('numpy', 'toricarr.forms', 'toricarr.hyperplane')))")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False True True\n"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("analyze", "four_lines.txt"), 0),
+    (("poset", "four_lines.txt"), 0),
+    (("poincare", "--method=dcp", "four_lines.txt"), 0),
+    (("poincare", "--method=dr", "four_lines.txt"), 0),
+    (("unimodular", "four_lines.txt"), 0),
+    (("drtype", "four_lines.txt"), 0),
+    (("weyl", "--family=B", "--rank=2"), 0),
+    (("analyze", "nope.txt"), 1),
+    (("relations", "--seed=-1", "four_lines.txt"), 1),
+    (("poincare", "--method=dr", "two_curves.txt"), 2),
+])
+def test_fresh_cli_leaves_numpy_unloaded(workdir, capsys, argv, code):
+    expected = run(capsys, *argv)
+    assert expected[0] == code
+    assert run_fresh(workdir, *argv) == (*expected, False)
+
+
+def test_relations_loads_numpy_with_the_same_report(workdir, capsys):
+    argv = ("relations", "--seed=0", "four_lines.txt")
+    expected = run(capsys, *argv)
+    assert expected[0] == 0 and "nullity: 6\n" in expected[1]
+    assert run_fresh(workdir, *argv) == (*expected, True)
