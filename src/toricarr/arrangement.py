@@ -12,7 +12,8 @@ normalized to the representative whose first nonzero exponent is positive.
 Restriction is coded once, in :class:`LocalFrame`: it writes each
 hypersurface's trace on a component (here K_i, in the poset sweep any
 component) in that component's own coordinates, and gives, for each piece
-the trace cuts, the character it adds to the label and a point on it.
+the trace cuts, the character it adds to the label, a point on it and the
+piece's own frame.
 Restriction to a hypersurface K_i yields a ``ToricArrangement`` in a torus
 of one dimension less: :func:`traces` gives the components each
 hypersurface cuts on K_i, and :func:`restrict` their ordered union over a
@@ -26,7 +27,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .lattice import IntMatrix, bezout, is_primitive, snf
+from .lattice import IntMatrix, completion, is_primitive, snf
 
 # Most pieces one trace may cut; LocalFrame.trace refuses a larger g = gcd(c)
 # before it enumerates them (g reaches a few hundred on small exponents).
@@ -282,28 +283,45 @@ def weyl(family: str, rank_: int, simple_only: bool = False) -> ToricArrangement
 class LocalFrame:
     """The component {S @ u = values} as a torus in its own coordinates.
 
-    ``basis`` is a saturated label basis S (k rows, values in Q/Z).  Its
-    Smith form U @ S @ V = [I_k | 0] gives the frame: the base point
-    w = V[:, :k] @ U @ values lies on the component, and s -> w + V[:, k:] @ s
-    maps the (dim - k)-torus onto it.  There {chi @ u = b} reads
-    c @ s = b - chi @ w with c = chi @ V[:, k:] (:meth:`trace`).  The
-    sub-torus {c' @ s = value} of a primitive c' is the component whose
-    label lattice is S + Z chi' with chi' = c' @ (V^-1)[k:, :] (:meth:`lift`)
-    and through the point w + V[:, k:] @ (value * y), c' @ y = 1
-    (:meth:`points`).
+    A frame is a point w of the component and the last columns T of a
+    unimodular V with S @ T = 0: s -> w + T @ s maps the (dim - k)-torus
+    onto the component, and there {chi @ u = b} reads c @ s = b - chi @ w
+    with c = chi @ T (:meth:`trace`).  With R the rows of V^-1 that go with
+    T, the sub-torus {c' @ s = value} of a primitive c' has the label lattice
+    S + Z chi', chi' = c' @ R (:meth:`lift`), and the point w + T @ (value * y),
+    c' @ y = 1 (:meth:`point`).  R is kept as T @ R = I - sum_j q_j r_j^T.
+
+    ``LocalFrame(basis, values)`` reads the frame off the Smith form
+    U @ S @ V = [I_k | 0] of a saturated label basis S: w = V[:, :k] @ U @
+    values, the q_j are the columns of V[:, :k] @ U and the r_j the rows of
+    S, as V^-1 = [U @ S; R].  :meth:`torus` and :meth:`child` take none.
     """
+
+    __slots__ = ("_den", "_w", "_cols", "_q", "_r")
 
     def __init__(self, basis: IntMatrix, values):
         k = basis.rows
         res = snf(basis)
-        self._basis, self._u = basis, res.U.entries
         self._den = lcm(*(x.denominator for x in values))
         scaled = [x.numerator * (self._den // x.denominator) for x in values]
         y = [sum(map(mul, row, scaled)) for row in res.U.entries]
-        self._head = [row[:k] for row in res.V.entries]
-        self._tail = [row[k:] for row in res.V.entries]
-        self._w = [sum(map(mul, row, y)) for row in self._head]   # den * w
-        self._cols = list(zip(*self._tail))
+        head = [row[:k] for row in res.V.entries]
+        self._w = [sum(map(mul, row, y)) for row in head]   # den * w
+        self._cols = list(zip(*(row[k:] for row in res.V.entries)))
+        self._q = tuple([sum(map(mul, row, col)) for row in head] for col in zip(*res.U.entries))
+        self._r = basis.entries
+
+    @classmethod
+    def _of(cls, den, w, cols, q, r) -> "LocalFrame":
+        frame = object.__new__(cls)
+        frame._den, frame._w, frame._cols, frame._q, frame._r = den, w, cols, q, r
+        return frame
+
+    @classmethod
+    def torus(cls, dim: int) -> "LocalFrame":
+        """The frame of the full torus: w = 0 and T = I."""
+        return cls._of(1, [0] * dim, [tuple(int(i == j) for i in range(dim)) for j in range(dim)],
+                       (), ())
 
     def trace(self, chi, num: int, den: int):
         """The trace of {chi @ u = num/den} on the component, for any integer
@@ -324,34 +342,48 @@ class LocalFrame:
         sign = 1 if next(filter(None, c)) > 0 else -1
         d = lcm(self._den, den)
         v = (num * (d // den) - sum(map(mul, chi, self._w)) * (d // self._den)) % d
+        if g == 1:
+            return tuple(c) if sign > 0 else tuple(-x for x in c), (_reduced(sign * v, d),)
         return (tuple(sign * x // g for x in c),
                 tuple(_reduced(sign * (v + t * d), g * d) for t in range(g)))
 
     def lift(self, chi) -> list[int]:
-        """chi' = +-c' @ (V^-1)[k:, :] for the local character c' of ``chi``.
+        """chi' = +-c' @ R for the local character c' of ``chi``.
 
-        chi = a @ V^-1 with a = chi @ V, and (V^-1)[:k, :] = U @ S, so
-        chi - (chi @ V[:, :k] @ U) @ S = c @ (V^-1)[k:, :] = +-g * chi', and
-        V^-1 is never formed.  S + Z chi' is saturated: Z^l / S is free and
-        c' is primitive.  On the full torus (k = 0) chi' is chi/g.
+        chi @ T @ R = c @ R = +-g * chi' (g = gcd(c)), read off the
+        projection.  S + Z chi' is saturated: [S; R] is a basis of Z^l and c'
+        is primitive.  On the full torus chi' is chi/g.
         """
-        a = [sum(map(mul, chi, col)) for col in zip(*self._head)]
-        z = [sum(map(mul, a, col)) for col in zip(*self._u)]
         t = list(chi)
-        for zi, row in zip(z, self._basis.entries):
-            t = [x - zi * y for x, y in zip(t, row)]
+        for q, r in zip(self._q, self._r):
+            z = sum(map(mul, chi, q))
+            t = [x - z * y for x, y in zip(t, r)]
         g = gcd(*t)
         return [x // g for x in t]
 
-    def points(self, local, pairs):
-        """For each value pair (num, d), a point of the component on
-        {local @ s = num/d} as (numerators, common denominator)."""
-        y = bezout(local)
-        ty = [sum(map(mul, row, y)) for row in self._tail]
-        for num, d in pairs:
-            m = lcm(self._den, d)
-            a, b = m // self._den, num * (m // d)
-            yield [x * a + t * b for x, t in zip(self._w, ty)], m
+    def point(self, local, num: int, d: int):
+        """A point of the component on {local @ s = num/d}, as (numerators,
+        common denominator)."""
+        y = completion(local)[0]
+        m = lcm(self._den, d)
+        a, b = m // self._den, num * (m // d)
+        return [x * a + sum(map(mul, row, y)) * b
+                for x, row in zip(self._w, zip(*self._cols))], m
+
+    def child(self, lifted, local, u, m: int) -> "LocalFrame":
+        """The frame of the piece {local @ s = value} at its :meth:`point`
+        (``u``, ``m``), ``lifted`` the :meth:`lift` of the row traced.  With
+        local @ V = e_1 (:func:`~toricarr.lattice.completion`, y = V[:, 0]):
+        T' = T @ V[:, 1:], R' = V^-1[1:, :] @ R, so T' @ R' = T @ R -
+        (T @ y) (local @ R)^T, and local @ R is ``lifted`` times lifted @ T @ y.
+        """
+        y, *kernel = completion(local)
+        rows = list(zip(*self._cols))
+        ty = [sum(map(mul, row, y)) for row in rows]
+        sign = sum(map(mul, lifted, ty))
+        cols = [tuple(sum(map(mul, row, v)) for row in rows) for v in kernel]
+        return LocalFrame._of(m, u, cols, self._q + ([sign * x for x in ty],),
+                              self._r + (lifted,))
 
 
 def _keys(arr: ToricArrangement) -> tuple:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
+from functools import cache
 
 from . import forms
 from .arrangement import ToricArrangement, parse, serialize, weyl
@@ -195,7 +196,9 @@ def cmd_relations(args) -> int:
     return EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and reused by :func:`main`."""
     parser = argparse.ArgumentParser(prog="toricarr",
                                      description="exact computations with toric arrangements")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -227,14 +227,26 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return (-a, -s0, -t0) if a < 0 else (a, s0, t0)
 
 
-def bezout(v) -> tuple[int, ...]:
-    """Integers y with v @ y = gcd(v), by extended gcds along the entries."""
-    g, y = 0, []
-    for x in v:
-        g, s, t = _xgcd(g, x)
-        y = [s * yj for yj in y]
-        y.append(t)
-    return tuple(y)
+def completion(v) -> tuple[tuple[int, ...], ...]:
+    """Columns of a unimodular V with v @ V = (gcd(v), 0, ..., 0): the first
+    y has v @ y = gcd(v), the others are a basis of the integer kernel of v.
+
+    Folded over the entries by extended gcds: with the prefix sending
+    column y to g, a new entry x combines y and the new unit column by the
+    determinant-1 block [[s, -x/g'], [t, g/g']], g' = s*g + t*x = gcd(g, x)
+    (the identity when g' = 0).
+    """
+    if not v:
+        return ()
+    g, y, kernel = v[0], [1], []
+    for x in v[1:]:
+        g2, s, t = _xgcd(g, x)
+        kernel = [k + [0] for k in kernel]
+        kernel.append([-(x // g2) * a for a in y] + [g // g2] if g2 else [0] * len(y) + [1])
+        y, g = [s * a for a in y] + [t], g2
+    if g < 0:
+        y = [-a for a in y]
+    return tuple(map(tuple, [y] + kernel))
 
 
 def hnf_add_row(h: IntMatrix, v) -> IntMatrix:

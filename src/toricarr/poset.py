@@ -6,23 +6,25 @@ components are equal iff those labels agree; the stored witness point is a
 convenience and never takes part in comparisons.
 
 A component C is cut by one step, in its own coordinates: the
-:class:`~toricarr.arrangement.LocalFrame` of C (one Smith form of C's label
-basis, the same routine that gives the deletion-restriction traces) makes
-C a torus, and a row chi restricts to a character c of it.  A row with
-c = 0 is constant on C, so C lies in the level set or misses it; otherwise
-the level set cuts g = gcd(c) pieces, and the frame gives each piece's
-label (one row added to C's HNF basis) and a point on it.
-:func:`intersect_system` is that step folded over the rows of a system,
-from the full torus.
+:class:`~toricarr.arrangement.LocalFrame` of C (the same class gives the
+deletion-restriction traces) makes C a torus, and a row chi restricts to a
+character c of it.  A row with c = 0 is constant on C, so C lies in the
+level set or misses it; otherwise the level set cuts g = gcd(c) pieces, and
+the frame gives each piece's label (the lifted row added to C's HNF basis),
+a point on it, and its own frame, carried from C's through a completion of
+the local character: no Smith form is taken.  :func:`intersect_system` is
+that step folded over the rows of a system, from the full torus.
 
 The poset needs no system solved: the layered sweep of :func:`build_poset`
-takes the step for each component and each hypersurface, and records each
-piece as a child of the component it was cut from; no pair of components
-is compared for containment.  Those edges are the covers of the poset; a
-walk up them from a component reaches its ancestors, whose Mobius values
-give its own, so the poset stores the covers alone and never builds its
-set of comparable pairs.  A local hypersurface that an earlier
-hypersurface already traced on C is skipped.
+takes the step for each component and each hypersurface that is not
+constant on its parent, and records each piece as a child of the component
+it was cut from; no pair of components is compared for containment.  Those
+edges are the covers of the poset; a walk up them from a component reaches
+its ancestors, whose Mobius values give its own, so the poset stores the
+covers alone and never builds its set of comparable pairs.  A child is
+keyed on the set of hypersurfaces containing it, with its values only when
+that set's intersection may be disconnected, and the label of each set is
+computed once (see :func:`_sweep`).
 
 The same sweep decides unimodularity (every subset intersection empty or
 connected): the arrangement is unimodular iff no hypersurface K splits a
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from operator import mul
 
 from .arrangement import Hypersurface, LocalFrame, ToricArrangement, _keys, _reduced, mod1
@@ -92,23 +95,9 @@ def hypersurface_contains(comp: Component, h: Hypersurface) -> bool:
     return _holds(comp, h.chi, h.b)
 
 
-def _pieces(comp: Component, frame: LocalFrame, chi, split: bool, local, pairs):
-    """The pieces of ``comp`` on the local hypersurfaces (``local``, pair),
-    pair in ``pairs``, of the trace of the row ``chi`` in ``frame``: for
-    each pair the piece's label basis, its values as reduced pairs
-    (numerator, denominator), and a point on it as (numerators, common
-    denominator).
-
-    The label basis is the HNF of [S; chi'] (``hnf_add_row``).  ``split``
-    tells whether the whole trace has more than one piece (``pairs`` may
-    be part of it); then chi' is ``frame.lift(chi)``, else chi itself
-    (c is primitive).
-    """
-    if split:
-        chi = frame.lift(chi)
-    basis = hnf_add_row(comp.sat_basis, chi)
-    for u, m in frame.points(local, pairs):
-        yield basis, tuple(_reduced(sum(map(mul, row, u)), m) for row in basis.entries), u, m
+def _values(basis: IntMatrix, u, m) -> tuple:
+    """The label's values at the point u/m, as reduced pairs (num, den)."""
+    return tuple(_reduced(sum(map(mul, row, u)), m) for row in basis.entries)
 
 
 def _component(basis: IntMatrix, values, u, m) -> Component:
@@ -121,28 +110,32 @@ def intersect_system(a: IntMatrix, b) -> list[Component]:
 
     The rows are taken one at a time from the full torus, each by the
     sweep's step: a row constant on a component keeps it or drops it, and
-    any other row cuts it into the pieces its trace names.  Returns the
-    empty list when the system is inconsistent.  A 0-dimensional
-    component's witness is the point itself, reduced mod 1.
+    any other row cuts it into the pieces its trace names, each with the
+    frame :meth:`~toricarr.arrangement.LocalFrame.child` carries to it.
+    Returns the empty list when the system is inconsistent.  A
+    0-dimensional component's witness is the point itself, reduced mod 1.
     """
     if len(b) != a.rows:
         raise ValueError("one value per character row is required")
-    comps = [full_torus(a.cols)]
+    comps = [(full_torus(a.cols), LocalFrame.torus(a.cols))]
     for chi, x in zip(a.entries, b):
         x = mod1(x)
         cut = []
-        for comp in comps:
-            frame = LocalFrame(comp.sat_basis, comp.values)
+        for comp, frame in comps:
             tr = frame.trace(chi, x.numerator, x.denominator)
             if tr is None:
                 if _holds(comp, chi, x):
-                    cut.append(comp)
-            else:
-                local, pairs = tr
-                cut.extend(_component(*piece) for piece in
-                           _pieces(comp, frame, chi, len(pairs) > 1, local, pairs))
+                    cut.append((comp, frame))
+                continue
+            local, pairs = tr
+            lifted = frame.lift(chi)
+            basis = hnf_add_row(comp.sat_basis, lifted)
+            for num, d in pairs:
+                u, m = frame.point(local, num, d)
+                cut.append((_component(basis, _values(basis, u, m), u, m),
+                            frame.child(lifted, local, u, m)))
         comps = cut
-    return comps
+    return [comp for comp, _ in comps]
 
 
 @dataclass(frozen=True)
@@ -187,52 +180,72 @@ def _sweep(arr: ToricArrangement, found: list[Component], parents: list[set[int]
     """Expand every component of ``arr`` layer by layer, from the full torus
     ``found == [full_torus(arr.dim)]``.
 
-    Each component C is expanded in its :class:`~toricarr.arrangement.LocalFrame`,
-    where each hypersurface K with c != 0 traces g = gcd(c) local
-    hypersurfaces (c', value).  Yields whether some K splits C (g > 1)
+    Each component C is expanded in the frame carried from its first parent
+    (:meth:`~toricarr.arrangement.LocalFrame.child`), by the hypersurfaces
+    with c != 0 there (the others contain or miss every child); each traces
+    g = gcd(c) local hypersurfaces.  Yields whether some K splits C (g > 1)
     before C's children are built; a trace refused for g past
     ``MAX_TRACE_PIECES`` (>= 2) is a split, yielded before the refusal is
-    raised, so :func:`is_unimodular` still answers.  A local key (c', value)
-    that an earlier K already traced is left out; each other one names a
-    child W of C, whose label and point :func:`_pieces` gives.  W is looked
-    up by its integer label; on first sight its ``Component`` is appended to
-    ``found``, with an empty set in ``parents``.  C's index is added to the
-    parents of W.
+    raised, so :func:`is_unimodular` still answers.
+
+    Each local hypersurface names a child W of C and the bitmask X(W) of
+    the hypersurfaces containing it: X(C) and the K whose trace holds it.
+    W's label is a function of X(W), taken once per set from C's label and
+    the lifted row.  The set is marked connected, on first sight, when X(C)
+    is and the piece counts g of those K have gcd 1: each such chi_K is
+    +-g * chi' mod C's label, so X(W) spans W's saturated label and names W
+    alone; other sets name W with its values.  On first sight of W its
+    ``Component`` is appended to ``found``, with an empty set in
+    ``parents``; C's index is added to the parents of W.
     """
     hyps = _keys(arr)
-    index = {((), ()): 0}
+    frames = [(LocalFrame.torus(arr.dim), 0, range(len(hyps)), True)]
     frontier = [0]
     while frontier:
-        nxt = []
+        nxt, index, sets = [], {}, {}   # every child lies in the next layer
         for p in frontier:
-            comp = found[p]
+            comp, (frame, mask, live, connected) = found[p], frames[p]
+            frames[p] = None
             if comp.dim == 0:
                 yield False
                 continue
-            frame = LocalFrame(comp.sat_basis, comp.values)
             try:
-                steps = [(chi, tr) for chi, b in hyps
-                         if (tr := frame.trace(chi, *b)) is not None]
+                steps = [(i, tr) for i in live if not mask >> i & 1
+                         and (tr := frame.trace(hyps[i][0], *hyps[i][1])) is not None]
             except ValueError:
                 yield True
                 raise
             yield any(len(pairs) > 1 for _, (_, pairs) in steps)
-            seen: set = set()
-            for chi, (local, pairs) in steps:
-                new = [pair for pair in pairs if (local, pair) not in seen]
-                if not new:
-                    continue
-                seen.update((local, pair) for pair in new)
-                split = len(pairs) > 1
-                for basis, values, u, m in _pieces(comp, frame, chi, split, local, new):
-                    key = (basis.entries, values)
+            pieces: dict = {}
+            for i, (local, pairs) in steps:
+                for pair in pairs:
+                    piece = pieces.get((local, pair))
+                    if piece is None:
+                        pieces[local, pair] = [i, 1 << i, len(pairs)]
+                    else:
+                        piece[1] |= 1 << i
+                        piece[2] = gcd(piece[2], len(pairs))
+            live = [i for i, _ in steps]
+            for (local, (num, d)), (i, bits, g) in pieces.items():
+                within, lifted = mask | bits, None
+                if within not in sets:
+                    lifted = frame.lift(hyps[i][0])
+                    sets[within] = (hnf_add_row(comp.sat_basis, lifted), connected and g == 1)
+                basis, alone = sets[within]
+                k = index.get(within) if alone else None
+                if k is None:
+                    u, m = frame.point(local, num, d)
+                    values = _values(basis, u, m)
+                    key = within if alone else (within, values)
                     k = index.get(key)
                     if k is None:
                         k = index[key] = len(found)
                         found.append(_component(basis, values, u, m))
                         parents.append(set())
+                        lifted = lifted or frame.lift(hyps[i][0])
+                        frames.append((frame.child(lifted, local, u, m), within, live, alone))
                         nxt.append(k)
-                    parents[k].add(p)
+                parents[k].add(p)
         frontier = nxt
 
 
@@ -241,22 +254,20 @@ def build_poset(arr: ToricArrangement) -> IntersectionPoset:
 
     Works layer by layer (:func:`_sweep`): each known component C is
     intersected with each hypersurface K in the frame of C, and each
-    component of C ∩ K, read off the frame, is deduplicated by canonical
-    label.  This reaches every component of every subset intersection (the
-    exhaustive subset sweep is kept in the test suite as an oracle).  K
-    adds nothing when it contains C or misses it, and a component of C ∩ K
-    is left out when it is, as a local hypersurface of C, a component of
-    C ∩ K' for an earlier K': that step recorded it, with its edge to C.
-    The components and their order are therefore those of the full sweep;
-    each witness is the point the frame gives on the first sight of its
-    component.  Each component W of C ∩ K is recorded as a child of C, on
-    the canonical instance of W, and has codim(C) + 1.  When W ⊊ C, some K
-    contains W but not C, and W lies in a component of C ∩ K; so every
-    strict containment is a chain of such edges, and the edges are exactly
-    the covers.  mu(T, W) is minus the sum of mu over W's strict ancestors,
-    which a walk up W's cover parents visits once each.  The sweep runs by
-    codimension, so each parent is found, and its mu known, before its
-    children; no ancestor set outlives its component's walk.
+    component of C ∩ K, read off the frame, is deduplicated by the set of
+    hypersurfaces containing it, and its values when that set's intersection
+    may be disconnected.  This reaches every component of every subset
+    intersection (the exhaustive subset sweep is kept in the test suite as
+    an oracle).  K adds nothing when it contains C or misses it, nor then on
+    C's children.  Each witness is the point the frame gives on the first
+    sight of its component.  Each component W of C ∩ K is recorded as a
+    child of C, on the canonical instance of W, and has codim(C) + 1.  When
+    W ⊊ C, some K contains W but not C, and W lies in a component of C ∩ K;
+    so every strict containment is a chain of such edges, and the edges are
+    exactly the covers.  mu(T, W) is minus the sum of mu over W's strict
+    ancestors, which a walk up W's cover parents visits once each.  The
+    sweep runs by codimension, so each parent is found, and its mu known,
+    before its children; no ancestor set outlives its component's walk.
 
     The sweep expands every component, so it also gives the unimodularity
     verdict (see the module docstring): no hypersurface splits a component.

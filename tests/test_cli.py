@@ -385,6 +385,37 @@ def test_unknown_command_exit_1(workdir, capsys):
     assert code == 1
 
 
+BACK_TO_BACK = [
+    ("analyze", "four_lines.txt"),
+    ("poincare", "four_lines.txt"),          # usage error: --method is required
+    ("--help",),
+    ("poset", "two_curves.txt"),
+    ("poincare", "--method=dr", "--help"),
+    ("frobnicate", "x"),
+    ("weyl", "--family=B", "--rank=2"),
+    ("drtype", "four_lines.txt"),
+]
+
+
+def test_back_to_back_calls_match_fresh_parsers(workdir, capsys, monkeypatch):
+    """main reuses one parser: calls in a row, usage errors and --help among
+    them, print what each call prints on a parser built afresh."""
+    from toricarr import cli
+
+    monkeypatch.setenv("COLUMNS", "80")
+
+    def fresh(argv):
+        cli.build_parser.cache_clear()
+        return run(capsys, *argv)
+
+    expected = [fresh(argv) for argv in BACK_TO_BACK]
+    assert [code for code, _, _ in expected] == [0, 1, 0, 0, 0, 1, 0, 0]
+    assert "usage: toricarr" in expected[2][1] and "--ordering" in expected[4][1]
+    cli.build_parser.cache_clear()
+    assert [run(capsys, *argv) for argv in BACK_TO_BACK * 2] == expected * 2
+    assert cli.build_parser.cache_info().misses == 1
+
+
 def test_reports_are_deterministic(workdir, capsys):
     a = run(capsys, "relations", "--seed=5", "four_lines.txt")
     b = run(capsys, "relations", "--seed=5", "four_lines.txt")

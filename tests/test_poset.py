@@ -297,12 +297,12 @@ def test_poset_order_consistent_with_dimension():
         assert poset.components[i].dim + 1 == poset.components[j].dim
 
 
-def f4():
-    """Toric Weyl arrangement of F4 (``weyl`` has no F4): the positive roots
-    by reflection closure of the simple roots, c[i][j] = <alpha_j, alpha_i^vee>,
-    alpha_3 and alpha_4 short."""
-    cartan = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -2, 2, -1], [0, 0, -1, 2]]
-    roots = {tuple(int(j == i) for j in range(4)) for i in range(4)}
+def _weyl_from_cartan(cartan, positive):
+    """Toric Weyl arrangement from a Cartan matrix c[i][j] = <alpha_j,
+    alpha_i^vee> (``weyl`` has no exceptional types): the positive roots by
+    reflection closure of the simple roots, ``positive`` of them."""
+    rank_ = len(cartan)
+    roots = {tuple(int(j == i) for j in range(rank_)) for i in range(rank_)}
     frontier = list(roots)
     while frontier:
         nxt = []
@@ -315,8 +315,22 @@ def f4():
                     nxt.append(refl)
         frontier = nxt
     pos = sorted(r for r in roots if min(r) >= 0)
-    assert len(pos) == 24
-    return ToricArrangement(4, tuple(Hypersurface(r, Fraction(0)) for r in pos))
+    assert len(pos) == positive
+    return ToricArrangement(rank_, tuple(Hypersurface(r, Fraction(0)) for r in pos))
+
+
+def f4():
+    """F4, alpha_3 and alpha_4 short."""
+    return _weyl_from_cartan([[2, -1, 0, 0], [-1, 2, -1, 0], [0, -2, 2, -1], [0, 0, -1, 2]], 24)
+
+
+def e6():
+    """E6 in Bourbaki's numbering: alpha_2 joins alpha_4 of the chain
+    alpha_1 - alpha_3 - alpha_4 - alpha_5 - alpha_6."""
+    cartan = [[2 if i == j else 0 for j in range(6)] for i in range(6)]
+    for i, j in ((0, 2), (2, 3), (3, 4), (4, 5), (1, 3)):
+        cartan[i][j] = cartan[j][i] = -1
+    return _weyl_from_cartan(cartan, 36)
 
 
 def test_poset_f4():
@@ -326,6 +340,23 @@ def test_poset_f4():
     poincare = poset.poincare()
     assert poincare.coefficients == (1, 28, 286, 1260, 2153)
     assert sum((-1) ** k * c for k, c in enumerate(poincare.coefficients)) == 1152
+
+
+def test_poset_e6():
+    """|W(E6)|/f = 51840/3 = 17280 = P(-1).  Components sharing their set of
+    containing hypersurfaces must stay apart: 5,119 components have 5,079
+    such sets, 40 of them holding two components each (read off the covers:
+    a component lies in the hypersurfaces of codim 1 above it)."""
+    poset = build_poset(e6())
+    assert len(poset.components) == 5119
+    assert poset.layer_sizes() == (1, 36, 390, 1530, 2136, 909, 117)
+    poincare = poset.poincare()
+    assert poincare.coefficients == (1, 42, 705, 6020, 27459, 63378, 58555)
+    assert sum((-1) ** k * c for k, c in enumerate(poincare.coefficients)) == 17280
+    within = [1 << k if comp.codim == 1 else 0 for k, comp in enumerate(poset.components)]
+    for i, j in sorted(poset.covers, key=lambda cover: poset.components[cover[0]].codim):
+        within[i] |= within[j]
+    assert sorted(Counter(Counter(within).values()).items()) == [(1, 5039), (2, 40)]
 
 
 @pytest.mark.parametrize("make", [f4, lambda: weyl("B", 5)], ids=["F4", "B5"])
@@ -441,21 +472,25 @@ def test_sweep_verdict_matches_subsets_random():
 
 
 def test_is_unimodular_stops_at_first_split(monkeypatch):
-    """B5: the torus and the first component expanded are the only frames
-    taken, since that component is split; the full sweep takes 932 (one per
-    component of positive dimension)."""
+    """B5: the torus and the first component are the only components
+    expanded, since that component is split; the full sweep expands 932 (one
+    per component of positive dimension)."""
     import toricarr.poset as poset_module
 
-    frames = []
-    frame = poset_module.LocalFrame
+    expanded = []
+    sweep = poset_module._sweep
 
-    def counted(basis, values):
-        frames.append(basis)
-        return frame(basis, values)
+    def counted(arr, found, parents):
+        for split in sweep(arr, found, parents):
+            expanded.append(found[len(expanded)].dim)
+            yield split
 
-    monkeypatch.setattr(poset_module, "LocalFrame", counted)
+    monkeypatch.setattr(poset_module, "_sweep", counted)
     assert not is_unimodular(weyl("B", 5))
-    assert len(frames) == 2
+    assert len(expanded) == 2
+    expanded.clear()
+    build_poset(weyl("B", 5))
+    assert sum(dim > 0 for dim in expanded) == 932
 
 
 def test_sweep_solves_no_system(monkeypatch):

@@ -1,11 +1,14 @@
 """Property tests for the integer kernel built on ``hnf_add_row`` (``hnf``,
 ``row_basis``, ``rank``, ``left_kernel``, ``in_row_lattice``) against the
 classical elimination ``hnf_reference``, for ``snf`` against sympy, for
-``bezout``, the ``LocalFrame`` step (``trace``, ``lift``, ``points``) and
-the parse/serialize round trip."""
+``completion``, the ``LocalFrame`` steps (``trace``, ``lift``, ``point``,
+``child``), the parse/serialize round trip and the invariance of the poset
+under isomorphism."""
 
+from collections import Counter
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -22,7 +25,7 @@ from toricarr.arrangement import (
 )
 from toricarr.lattice import (
     IntMatrix,
-    bezout,
+    completion,
     hnf,
     hnf_add_row,
     in_row_lattice,
@@ -32,6 +35,8 @@ from toricarr.lattice import (
     saturation,
     snf,
 )
+
+from toricarr.poset import build_poset, is_unimodular
 
 from oracles import det, hnf_reference, intersect_system_reference
 
@@ -139,12 +144,52 @@ def test_parse_serialize_round_trip(arr):
     assert parse(serialize(arr)) == arr
 
 
+@st.composite
+def isomorphic_copies(draw):
+    """An arrangement and its image under a unimodular change of characters
+    (elementary column operations), a translation by a 6-torsion point, and
+    a shuffle of the hypersurfaces."""
+    arr = draw(arrangements())
+    l = arr.dim
+    u = [[int(i == j) for j in range(l)] for i in range(l)]
+    for _ in range(draw(st.integers(0, 6)) if l > 1 else 0):
+        i, j = draw(st.permutations(range(l)))[:2]
+        q = draw(st.sampled_from((-2, -1, 1, 2)))
+        for row in u:
+            row[i] += q * row[j]
+    shift = [Fraction(draw(st.integers(0, 5)), 6) for _ in range(l)]
+    hyps = []
+    for h in arr.hypersurfaces:
+        chi = tuple(sum(h.chi[k] * u[k][j] for k in range(l)) for j in range(l))
+        hyps.append(Hypersurface(chi, h.b + sum(c * t for c, t in zip(chi, shift))))
+    return arr, ToricArrangement(l, tuple(draw(st.permutations(hyps))))
+
+
+def _invariants(arr):
+    poset = build_poset(arr)
+    return (poset.layer_sizes(), len(poset.covers), Counter(poset.mobius), poset.poincare(),
+            poset.unimodular, is_unimodular(arr))
+
+
+@settings(PROPERTY, max_examples=150)
+@given(isomorphic_copies())
+def test_poset_invariant_under_isomorphism(pair):
+    """Layer sizes, cover count, the multiset of mu, P and the unimodular
+    verdicts (of the poset and of ``is_unimodular``) are the same on an
+    isomorphic copy, whose sweep meets its components in another order."""
+    arr, copy = pair
+    assert _invariants(copy) == _invariants(arr)
+
+
 @PROPERTY
 @given(st.lists(st.integers(-60, 60), max_size=6))
-def test_bezout_gives_gcd(v):
-    y = bezout(v)
-    assert len(y) == len(v)
-    assert sum(a * b for a, b in zip(v, y)) == gcd(*v)
+def test_completion_is_unimodular(v):
+    cols = completion(v)
+    assert len(cols) == len(v)
+    images = [sum(a * b for a, b in zip(v, col)) for col in cols]
+    assert images == ([gcd(*v)] + [0] * (len(v) - 1) if v else [])
+    if v:
+        assert abs(det(IntMatrix.from_rows(zip(*cols)))) == 1
 
 
 @PROPERTY
@@ -165,7 +210,56 @@ def test_frame_step_matches_reference(case):
     assert len(pairs) == len(ref)
     assert {r.sat_basis for r in ref} == {label}
     on = set()
-    for u, m in frame.points(local, pairs):
+    for num, d in pairs:
+        u, m = frame.point(local, num, d)
         point = [Fraction(x, m) for x in u]
         on.add(tuple(mod1(sum(x * y for x, y in zip(point, h))) for h in label.entries))
     assert on == {r.values for r in ref}
+
+
+def _on(point, rows, vals) -> bool:
+    return all(mod1(sum(x * y for x, y in zip(point, h))) == v for h, v in zip(rows, vals))
+
+
+def _cut(frame, label, chi, tr):
+    """The label of the pieces of a trace and the set of their values, read
+    at the points the frame gives."""
+    local, pairs = tr
+    basis = hnf_add_row(label, frame.lift(chi))
+    points = (frame.point(local, num, d) for num, d in pairs)
+    return basis, {tuple(Fraction(sum(map(mul, h, u)) % m, m) for h in basis.entries)
+                   for u, m in points}
+
+
+@PROPERTY
+@given(component_and_row(), st.data())
+def test_child_frame_matches_smith_frame(case, data):
+    """The frame carried to each piece of a trace (``child``) against the
+    Smith frame of the piece's label and values: each piece's point lies on
+    the component and on its own piece, the lift completes the label to the
+    saturation of [S; chi], and a second row traced on either frame cuts
+    as many pieces, with the same lifted label and the same values."""
+    s, vals, chi, b = case
+    frame = LocalFrame(s, vals)
+    tr = frame.trace(chi, b.numerator, b.denominator)
+    assume(tr is not None)
+    row = data.draw(st.lists(st.integers(-3, 3), min_size=s.cols, max_size=s.cols))
+    value = mod1(data.draw(values))
+    local, pairs = tr
+    lifted = frame.lift(chi)
+    label = hnf_add_row(s, lifted)
+    assert label == saturation(s.with_row(chi))
+    pieces = set()
+    for num, d in pairs:
+        u, m = frame.point(local, num, d)
+        point = [Fraction(x, m) for x in u]
+        assert _on(point, s.entries + (tuple(chi),), vals + (b,))
+        piece = tuple(mod1(sum(x * y for x, y in zip(point, h))) for h in label.entries)
+        pieces.add(piece)
+        child, smith = frame.child(lifted, local, u, m), LocalFrame(label, piece)
+        got, want = (f.trace(row, value.numerator, value.denominator) for f in (child, smith))
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert len(got[1]) == len(want[1])
+            assert _cut(child, label, row, got) == _cut(smith, label, row, want)
+    assert len(pieces) == len(pairs)
