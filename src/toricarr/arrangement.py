@@ -13,11 +13,13 @@ Restriction is coded once, in :class:`LocalFrame`: it writes each
 hypersurface's trace on a component (here K_i, in the poset sweep any
 component) in that component's own coordinates, and gives, for each piece
 the trace cuts, the character it adds to the label, a point on it and the
-piece's own frame.
+piece's own frame.  The poset sweep gets every frame from
+:meth:`LocalFrame.torus` and :meth:`LocalFrame.child`.
 Restriction to a hypersurface K_i yields a ``ToricArrangement`` in a torus
 of one dimension less: :func:`traces` gives the components each
 hypersurface cuts on K_i, and :func:`restrict` their ordered union over a
-prefix.
+prefix.  K_i's frame is read off the Smith form of its one row, since the
+deletion-restriction searches order the pieces by those coordinates.
 """
 
 from __future__ import annotations
@@ -197,9 +199,6 @@ def braid(l: int) -> ToricArrangement:
     return ToricArrangement(l, tuple(hyps))
 
 
-_CHAIN_FAMILIES = {"A", "B", "C", "D"}
-
-
 def _cartan_matrix(family: str, rank_: int) -> list[list[int]]:
     c = [[2 if i == j else 0 for j in range(rank_)] for i in range(rank_)]
 
@@ -291,37 +290,20 @@ class LocalFrame:
     S + Z chi', chi' = c' @ R (:meth:`lift`), and the point w + T @ (value * y),
     c' @ y = 1 (:meth:`point`).  R is kept as T @ R = I - sum_j q_j r_j^T.
 
-    ``LocalFrame(basis, values)`` reads the frame off the Smith form
-    U @ S @ V = [I_k | 0] of a saturated label basis S: w = V[:, :k] @ U @
-    values, the q_j are the columns of V[:, :k] @ U and the r_j the rows of
-    S, as V^-1 = [U @ S; R].  :meth:`torus` and :meth:`child` take none.
+    The constructor takes the fields in order: ``den``, ``den * w``, the
+    columns of T, the q_j and the r_j.
     """
 
     __slots__ = ("_den", "_w", "_cols", "_q", "_r")
 
-    def __init__(self, basis: IntMatrix, values):
-        k = basis.rows
-        res = snf(basis)
-        self._den = lcm(*(x.denominator for x in values))
-        scaled = [x.numerator * (self._den // x.denominator) for x in values]
-        y = [sum(map(mul, row, scaled)) for row in res.U.entries]
-        head = [row[:k] for row in res.V.entries]
-        self._w = [sum(map(mul, row, y)) for row in head]   # den * w
-        self._cols = list(zip(*(row[k:] for row in res.V.entries)))
-        self._q = tuple([sum(map(mul, row, col)) for row in head] for col in zip(*res.U.entries))
-        self._r = basis.entries
-
-    @classmethod
-    def _of(cls, den, w, cols, q, r) -> "LocalFrame":
-        frame = object.__new__(cls)
-        frame._den, frame._w, frame._cols, frame._q, frame._r = den, w, cols, q, r
-        return frame
+    def __init__(self, den: int, w, cols, q, r):
+        self._den, self._w, self._cols, self._q, self._r = den, w, cols, q, r
 
     @classmethod
     def torus(cls, dim: int) -> "LocalFrame":
         """The frame of the full torus: w = 0 and T = I."""
-        return cls._of(1, [0] * dim, [tuple(int(i == j) for i in range(dim)) for j in range(dim)],
-                       (), ())
+        return cls(1, [0] * dim, [tuple(int(i == j) for i in range(dim)) for j in range(dim)],
+                   (), ())
 
     def trace(self, chi, num: int, den: int):
         """The trace of {chi @ u = num/den} on the component, for any integer
@@ -382,8 +364,7 @@ class LocalFrame:
         ty = [sum(map(mul, row, y)) for row in rows]
         sign = sum(map(mul, lifted, ty))
         cols = [tuple(sum(map(mul, row, v)) for row in rows) for v in kernel]
-        return LocalFrame._of(m, u, cols, self._q + ([sign * x for x in ty],),
-                              self._r + (lifted,))
+        return LocalFrame(m, u, cols, self._q + ([sign * x for x in ty],), self._r + (lifted,))
 
 
 def _keys(arr: ToricArrangement) -> tuple:
@@ -395,7 +376,12 @@ def _traces(keys, i: int) -> tuple[tuple, ...]:
     """:func:`traces` on integer keys: each component as a key (c', (num, den))
     in normal form, c' primitive with first nonzero entry positive."""
     chi, (num, den) = keys[i]
-    frame = LocalFrame(IntMatrix(1, len(chi), (chi,)), (Fraction(num, den),))
+    # K_i's frame from the Smith form U @ chi @ V = e_1 of its row, y = U @ V[:, 0]:
+    # the DR searches order the pieces by these coordinates.
+    res = snf(IntMatrix(1, len(chi), (chi,)))
+    y = [res.U.entries[0][0] * row[0] for row in res.V.entries]
+    frame = LocalFrame(den, [num * x for x in y], list(zip(*(row[1:] for row in res.V.entries))),
+                       (y,), (chi,))
     return tuple(() if tr is None else tuple((tr[0], pair) for pair in tr[1])
                  for tr in (frame.trace(c, p, q) for c, (p, q) in keys))
 

@@ -3,12 +3,19 @@
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import gcd, lcm, prod
+from math import comb, factorial, gcd, lcm, prod
 from operator import mul
 
 import numpy as np
 
-from toricarr.arrangement import Hypersurface, ToricArrangement, mod1, parse
+from toricarr.arrangement import (
+    Hypersurface,
+    LocalFrame,
+    ToricArrangement,
+    mod1,
+    parse,
+    positive_roots,
+)
 from toricarr.cohomology import DrHypothesisError, DrReport
 from toricarr.forms import (
     RelationBasis,
@@ -147,6 +154,48 @@ def local_lattice_poincare(arr):
         mult = top_local_multiplicity(arr, comp)
         total = total + (mult * Polynomial.binomial(comp.dim)).shift(comp.codim)
     return total
+
+
+def _alcove_count(c, total):
+    """#{a in Z^l : a_i >= 1, sum c_i a_i <= total}, by coin change on a_i - 1."""
+    if total < sum(c):
+        return 0
+    ways = [1] + [0] * (total - sum(c))
+    for ci in c:
+        for s in range(ci, len(ways)):
+            ways[s] += ways[s - ci]
+    return sum(ways)
+
+
+def weyl_poincare_closed_form(family, rank_):
+    """Poincare polynomial of ``weyl(family, rank_)`` by counting points.
+
+    With c the highest root in simple-root coordinates, the q-torsion
+    points off every hypersurface number chi(q) = l! * prod(c) *
+    #{a_i >= 1 : sum c_i a_i <= q - 1} when lcm(c) divides q (points of
+    the open fundamental alcove, |W| / f of them per alcove point).
+    chi is interpolated exactly at l + 1 such q, and P(t) =
+    (-t)^l chi(-(1 + t) / t).
+    """
+    c = max(positive_roots(family, rank_), key=sum)
+    l, step = rank_, lcm(*c)
+    qs = [step * (j + 1) for j in range(l + 1)]
+    ys = [factorial(l) * prod(c) * _alcove_count(c, q - 1) for q in qs]
+    chi = [Fraction(0)] * (l + 1)   # coefficients of q^k
+    for j, (qj, yj) in enumerate(zip(qs, ys)):
+        basis = [Fraction(yj)]
+        for m, qm in enumerate(qs):
+            if m != j:
+                basis = [a - qm * b for a, b in zip([Fraction(0)] + basis, basis + [Fraction(0)])]
+                basis = [x / (qj - qm) for x in basis]
+        chi = [a + b for a, b in zip(chi, basis)]
+    # (-t)^l (-(1+t)/t)^k = (-1)^(l+k) (1+t)^k t^(l-k)
+    poly = [Fraction(0)] * (l + 1)
+    for k, a in enumerate(chi):
+        for j in range(k + 1):
+            poly[l - k + j] += (-1) ** (l + k) * a * comb(k, j)
+    assert all(x.denominator == 1 for x in poly)
+    return Polynomial(tuple(int(x) for x in poly))
 
 
 @lru_cache(maxsize=None)
@@ -288,6 +337,23 @@ def traces_reference(arr, i):
     (g the gcd of the tail of chi_r @ V), component t at position t."""
     v = _completion_to_basis(arr.hypersurfaces[i].chi)
     return tuple(_trace(arr, i, v, r) for r in range(arr.n))
+
+
+def smith_frame(basis, values):
+    """The :class:`~toricarr.arrangement.LocalFrame` of {S @ u = values},
+    read off the Smith form U @ S @ V = [I_k | 0] of a saturated label
+    basis S: w = V[:, :k] @ U @ values, the q_j are the columns of
+    V[:, :k] @ U and the r_j the rows of S, as V^-1 = [U @ S; R]."""
+    k = basis.rows
+    res = snf(basis)
+    den = lcm(*(x.denominator for x in values))
+    scaled = [x.numerator * (den // x.denominator) for x in values]
+    y = [sum(map(mul, row, scaled)) for row in res.U.entries]
+    head = [row[:k] for row in res.V.entries]
+    return LocalFrame(den, [sum(map(mul, row, y)) for row in head],
+                      list(zip(*(row[k:] for row in res.V.entries))),
+                      tuple([sum(map(mul, row, col)) for row in head] for col in zip(*res.U.entries)),
+                      basis.entries)
 
 
 def subset_sweep_components(arr):

@@ -22,6 +22,7 @@ from oracles import (
     pair_step_counts,
     random_arrangement,
     random_unimodular_arrangement,
+    weyl_poincare_closed_form,
     whitney_poincare,
 )
 
@@ -334,6 +335,22 @@ def test_weyl_euler_characteristic(family, rank_):
             polys.append(dr_poincare(arr, rep.ordering))
     for poly in polys:
         assert sum((-1) ** k * c for k, c in enumerate(poly.coefficients)) == expected
+
+
+@pytest.mark.parametrize("family, rank_, by_dr", [
+    ("A", 2, True), ("A", 3, True), ("A", 4, True), ("A", 5, False), ("B", 2, True),
+    ("B", 3, True), ("B", 4, False), ("C", 3, True), ("C", 4, False), ("D", 4, True),
+    ("D", 5, False), ("G2", 2, True)])
+def test_weyl_poincare_matches_closed_form(family, rank_, by_dr):
+    """dcp, and dr along the ordering ``find_dr_ordering`` finds where DR
+    answers, against the point count over the fundamental alcove."""
+    arr = weyl(family, rank_)
+    expected = weyl_poincare_closed_form(family, rank_)
+    assert dcp_poincare(arr) == expected
+    if by_dr:
+        rep = find_dr_ordering(arr)
+        assert rep.ordering is not None
+        assert dr_poincare(arr, rep.ordering) == expected
 
 
 def test_torsion_constants_fixture():

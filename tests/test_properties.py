@@ -3,7 +3,7 @@
 classical elimination ``hnf_reference``, for ``snf`` against sympy, for
 ``completion``, the ``LocalFrame`` steps (``trace``, ``lift``, ``point``,
 ``child``), the parse/serialize round trip and the invariance of the poset
-under isomorphism."""
+and of the deletion-restriction verdict under isomorphism."""
 
 from collections import Counter
 from fractions import Fraction
@@ -17,7 +17,6 @@ from sympy.matrices.normalforms import smith_normal_form
 
 from toricarr.arrangement import (
     Hypersurface,
-    LocalFrame,
     ToricArrangement,
     mod1,
     parse,
@@ -36,9 +35,10 @@ from toricarr.lattice import (
     snf,
 )
 
+from toricarr.cohomology import DrHypothesisError, dr_poincare, find_dr_ordering
 from toricarr.poset import build_poset, is_unimodular
 
-from oracles import det, hnf_reference, intersect_system_reference
+from oracles import det, hnf_reference, intersect_system_reference, smith_frame
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
@@ -181,6 +181,25 @@ def test_poset_invariant_under_isomorphism(pair):
     assert _invariants(copy) == _invariants(arr)
 
 
+@settings(PROPERTY, max_examples=150)
+@given(isomorphic_copies())
+def test_dr_invariant_under_isomorphism(pair):
+    """The DR verdict, a property of the set of step counts, is the same on
+    an isomorphic copy, and wherever ``dr_poincare`` answers on either copy
+    its P is the dcp P.  Refusals are not compared: they depend on the
+    orderings that the nested searches find."""
+    reports = [find_dr_ordering(a) for a in pair]
+    assert reports[0].verdict == reports[1].verdict
+    for a, rep in zip(pair, reports):
+        if rep.ordering is None:
+            continue
+        try:
+            poly = dr_poincare(a, rep.ordering)
+        except DrHypothesisError:
+            continue
+        assert poly == build_poset(a).poincare()
+
+
 @PROPERTY
 @given(st.lists(st.integers(-60, 60), max_size=6))
 def test_completion_is_unimodular(v):
@@ -200,7 +219,7 @@ def test_frame_step_matches_reference(case):
     many pieces as the system has components, and the points of the pieces
     lie one on each component."""
     s, vals, chi, b = case
-    frame = LocalFrame(s, vals)
+    frame = smith_frame(s, vals)
     tr = frame.trace(chi, b.numerator, b.denominator)
     assume(tr is not None)
     local, pairs = tr
@@ -240,7 +259,7 @@ def test_child_frame_matches_smith_frame(case, data):
     saturation of [S; chi], and a second row traced on either frame cuts
     as many pieces, with the same lifted label and the same values."""
     s, vals, chi, b = case
-    frame = LocalFrame(s, vals)
+    frame = smith_frame(s, vals)
     tr = frame.trace(chi, b.numerator, b.denominator)
     assume(tr is not None)
     row = data.draw(st.lists(st.integers(-3, 3), min_size=s.cols, max_size=s.cols))
@@ -256,7 +275,7 @@ def test_child_frame_matches_smith_frame(case, data):
         assert _on(point, s.entries + (tuple(chi),), vals + (b,))
         piece = tuple(mod1(sum(x * y for x, y in zip(point, h))) for h in label.entries)
         pieces.add(piece)
-        child, smith = frame.child(lifted, local, u, m), LocalFrame(label, piece)
+        child, smith = frame.child(lifted, local, u, m), smith_frame(label, piece)
         got, want = (f.trace(row, value.numerator, value.denominator) for f in (child, smith))
         assert (got is None) == (want is None)
         if got is not None:
