@@ -13,13 +13,14 @@ Restriction is coded once, in :class:`LocalFrame`: it writes each
 hypersurface's trace on a component (here K_i, in the poset sweep any
 component) in that component's own coordinates, and gives, for each piece
 the trace cuts, the character it adds to the label, a point on it and the
-piece's own frame.  The poset sweep gets every frame from
-:meth:`LocalFrame.torus` and :meth:`LocalFrame.child`.
-Restriction to a hypersurface K_i yields a ``ToricArrangement`` in a torus
-of one dimension less: :func:`traces` gives the components each
-hypersurface cuts on K_i, and :func:`restrict` their ordered union over a
-prefix.  K_i's frame is read off the Smith form of its one row, since the
-deletion-restriction searches order the pieces by those coordinates.
+piece's own frame.  The poset sweep builds every frame with
+:meth:`LocalFrame.torus` and :meth:`LocalFrame.child`, through
+:func:`~toricarr.lattice.completion`; K_i's is the one the sweep gives the
+codim-1 component K_i, built directly.  Restriction to K_i yields a
+``ToricArrangement`` in a torus of one dimension less: :func:`traces` gives
+the components each hypersurface cuts on K_i, and :func:`restrict` their
+ordered union over a prefix.  The deletion-restriction searches order the
+pieces by K_i's coordinates, so their orderings and refusals depend on it.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .lattice import IntMatrix, completion, is_primitive, snf
+from .lattice import IntMatrix, completion, is_primitive
 
 # Most pieces one trace may cut; LocalFrame.trace refuses a larger g = gcd(c)
 # before it enumerates them (g reaches a few hundred on small exponents).
@@ -376,12 +377,8 @@ def _traces(keys, i: int) -> tuple[tuple, ...]:
     """:func:`traces` on integer keys: each component as a key (c', (num, den))
     in normal form, c' primitive with first nonzero entry positive."""
     chi, (num, den) = keys[i]
-    # K_i's frame from the Smith form U @ chi @ V = e_1 of its row, y = U @ V[:, 0]:
-    # the DR searches order the pieces by these coordinates.
-    res = snf(IntMatrix(1, len(chi), (chi,)))
-    y = [res.U.entries[0][0] * row[0] for row in res.V.entries]
-    frame = LocalFrame(den, [num * x for x in y], list(zip(*(row[1:] for row in res.V.entries))),
-                       (y,), (chi,))
+    y, *kernel = completion(chi)
+    frame = LocalFrame(den, [num * x for x in y], kernel, (y,), (chi,))
     return tuple(() if tr is None else tuple((tr[0], pair) for pair in tr[1])
                  for tr in (frame.trace(c, p, q) for c, (p, q) in keys))
 

@@ -10,7 +10,10 @@ pivots and entries above each pivot reduced into [0, pivot); this makes
 One routine does Hermite elimination: :func:`hnf_add_row` merges one row
 into a canonical basis.  ``row_basis``, ``hnf``, ``rank``, ``left_kernel``
 and ``in_row_lattice`` are folds of it, so the transform ``hnf(A).U`` is
-canonical as well.
+canonical as well.  The commands use :func:`hnf_add_row` and
+:func:`completion` (every restriction frame); :func:`snf`,
+:func:`saturation`, :func:`hnf` and :func:`left_kernel` serve the
+``hyperplane`` module and the test oracles.
 """
 
 from __future__ import annotations

@@ -13,10 +13,8 @@ level set or misses it; otherwise the level set cuts g = gcd(c) pieces, and
 the frame gives each piece's label (the lifted row added to C's HNF basis),
 a point on it, and its own frame, carried from C's through a completion of
 the local character.  Every frame here comes from ``LocalFrame.torus`` and
-``LocalFrame.child``, so no Smith form is taken; only the DR traces read
-K_i's frame off the Smith form of its one row, as their searches depend on
-those coordinates.  :func:`intersect_system` is that step folded over the
-rows of a system, from the full torus.
+``LocalFrame.child``, so no Smith form is taken.  :func:`intersect_system`
+is that step folded over the rows of a system, from the full torus.
 
 The poset needs no system solved: the layered sweep of :func:`build_poset`
 takes the step for each component and each hypersurface that is not

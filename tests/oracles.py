@@ -33,6 +33,7 @@ from toricarr.lattice import (
     _negate_row,
     _row_sub,
     _swap_rows,
+    completion,
     left_kernel,
     snf,
 )
@@ -300,16 +301,12 @@ def dr_poincare_reference(arr, ordering):
 
 
 def _completion_to_basis(chi):
-    """Unimodular V with chi @ V = (1, 0, ..., 0), for primitive chi."""
-    row = IntMatrix.from_rows([chi])
-    res = snf(row)
-    if res.D.entries[0][0] != 1:
+    """Unimodular V with chi @ V = (1, 0, ..., 0), for primitive chi: the
+    columns of :func:`~toricarr.lattice.completion`, whose frame the poset
+    sweep gives K_i as well."""
+    if gcd(*chi) != 1:
         raise ValueError(f"character {chi} is not primitive")
-    v = [list(r) for r in res.V.entries]
-    if res.U.entries[0][0] == -1:
-        for r in v:
-            r[0] = -r[0]
-    return IntMatrix.from_rows(v)
+    return IntMatrix.from_rows(zip(*completion(chi)))
 
 
 def _trace(arr, i, v, r):

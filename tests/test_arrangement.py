@@ -5,6 +5,7 @@ import pytest
 
 from toricarr.arrangement import (
     Hypersurface,
+    LocalFrame,
     ParseError,
     ToricArrangement,
     braid,
@@ -13,6 +14,8 @@ from toricarr.arrangement import (
     restrict,
     serialize,
     traces,
+    _keys,
+    _traces,
     weyl,
 )
 from toricarr.lattice import IntMatrix, is_primitive
@@ -208,16 +211,32 @@ def test_traces_entries():
     assert traces(parse("torus 2\nhyp 1 0 @ 0/1\nhyp 1 0 @ 1/2\n"), 0) == ((), ())
 
 
-def test_traces_match_reference():
-    """Same entries in the same order as the completion-to-basis frame of
-    ``traces_reference``, component t at position t."""
+def _trace_corpus():
     rng = random.Random(5)
     arrs = [four_lines(), two_curves(), weyl("G2", 2), weyl("B", 3), weyl("C", 3),
             weyl("D", 4), braid(4)]
-    arrs += [random_arrangement(rng, max_l=4, max_n=7) for _ in range(300)]
-    for arr in arrs:
+    return arrs + [random_arrangement(rng, max_l=4, max_n=7) for _ in range(300)]
+
+
+def test_traces_match_reference():
+    """Same entries in the same order as the completion-to-basis frame of
+    ``traces_reference``, component t at position t."""
+    for arr in _trace_corpus():
         for i in range(arr.n):
             assert traces(arr, i) == traces_reference(arr, i)
+
+
+def test_dr_frame_is_the_sweep_frame():
+    """The deletion-restriction traces on K_i are read in the frame the poset
+    sweep gives the codim-1 component K_i: same keys, same piece order."""
+    for arr in _trace_corpus():
+        keys = _keys(arr)
+        torus = LocalFrame.torus(arr.dim)
+        for i, (chi, (num, den)) in enumerate(keys):
+            frame = torus.child(chi, chi, *torus.point(chi, num, den))
+            swept = tuple(() if tr is None else tuple((tr[0], pair) for pair in tr[1])
+                          for tr in (frame.trace(c, p, q) for c, (p, q) in keys))
+            assert _traces(keys, i) == swept
 
 
 def test_restrict_is_union_of_traces():
