@@ -12,8 +12,8 @@ normalized to the representative whose first nonzero exponent is positive.
 Restriction is coded once, in :class:`LocalFrame`: it writes each
 hypersurface's trace on a component (here K_i, in the poset sweep any
 component) in that component's own coordinates, and gives, for each piece
-the trace cuts, the character it adds to the label, a point on it and the
-piece's own frame.  The poset sweep builds every frame with
+the trace cuts, the character it adds to the label and its own frame,
+whose point lies on it.  The poset sweep builds every frame with
 :meth:`LocalFrame.torus` and :meth:`LocalFrame.child`, through
 :func:`~toricarr.lattice.completion`; K_i's is the one the sweep gives the
 codim-1 component K_i, built directly.  Restriction to K_i yields a
@@ -288,8 +288,8 @@ class LocalFrame:
     onto the component, and there {chi @ u = b} reads c @ s = b - chi @ w
     with c = chi @ T (:meth:`trace`).  With R the rows of V^-1 that go with
     T, the sub-torus {c' @ s = value} of a primitive c' has the label lattice
-    S + Z chi', chi' = c' @ R (:meth:`lift`), and the point w + T @ (value * y),
-    c' @ y = 1 (:meth:`point`).  R is kept as T @ R = I - sum_j q_j r_j^T.
+    S + Z chi', chi' = c' @ R (:meth:`lift`), and a frame (:meth:`child`) at
+    w + T @ (value * y), c' @ y = 1.  R is kept as T @ R = I - sum_j q_j r_j^T.
 
     The constructor takes the fields in order: ``den``, ``den * w``, the
     columns of T, the q_j and the r_j.
@@ -344,28 +344,27 @@ class LocalFrame:
         g = gcd(*t)
         return [x // g for x in t]
 
-    def point(self, local, num: int, d: int):
-        """A point of the component on {local @ s = num/d}, as (numerators,
-        common denominator)."""
-        y = completion(local)[0]
-        m = lcm(self._den, d)
-        a, b = m // self._den, num * (m // d)
-        return [x * a + sum(map(mul, row, y)) * b
-                for x, row in zip(self._w, zip(*self._cols))], m
+    @property
+    def point(self):
+        """The frame's point w, as (numerators, common denominator)."""
+        return self._w, self._den
 
-    def child(self, lifted, local, u, m: int) -> "LocalFrame":
-        """The frame of the piece {local @ s = value} at its :meth:`point`
-        (``u``, ``m``), ``lifted`` the :meth:`lift` of the row traced.  With
-        local @ V = e_1 (:func:`~toricarr.lattice.completion`, y = V[:, 0]):
+    def child(self, lifted, local, num: int, d: int) -> "LocalFrame":
+        """The frame of the piece {local @ s = num/d}, ``lifted`` the
+        :meth:`lift` of the row traced.  With local @ V = e_1
+        (:func:`~toricarr.lattice.completion`, y = V[:, 0]): w' = w + T @ (num/d * y),
         T' = T @ V[:, 1:], R' = V^-1[1:, :] @ R, so T' @ R' = T @ R -
         (T @ y) (local @ R)^T, and local @ R is ``lifted`` times lifted @ T @ y.
         """
         y, *kernel = completion(local)
         rows = list(zip(*self._cols))
         ty = [sum(map(mul, row, y)) for row in rows]
+        m = lcm(self._den, d)
+        a, b = m // self._den, num * (m // d)
         sign = sum(map(mul, lifted, ty))
         cols = [tuple(sum(map(mul, row, v)) for row in rows) for v in kernel]
-        return LocalFrame(m, u, cols, self._q + ([sign * x for x in ty],), self._r + (lifted,))
+        return LocalFrame(m, [x * a + t * b for x, t in zip(self._w, ty)], cols,
+                          self._q + ([sign * x for x in ty],), self._r + (lifted,))
 
 
 def _keys(arr: ToricArrangement) -> tuple:
@@ -377,6 +376,7 @@ def _traces(keys, i: int) -> tuple[tuple, ...]:
     """:func:`traces` on integer keys: each component as a key (c', (num, den))
     in normal form, c' primitive with first nonzero entry positive."""
     chi, (num, den) = keys[i]
+    # LocalFrame.torus(l).child(chi, chi, num, den) minus its identity products (12-44% faster)
     y, *kernel = completion(chi)
     frame = LocalFrame(den, [num * x for x in y], kernel, (y,), (chi,))
     return tuple(() if tr is None else tuple((tr[0], pair) for pair in tr[1])

@@ -10,10 +10,10 @@ A component C is cut by one step, in its own coordinates: the
 deletion-restriction traces) makes C a torus, and a row chi restricts to a
 character c of it.  A row with c = 0 is constant on C, so C lies in the
 level set or misses it; otherwise the level set cuts g = gcd(c) pieces, and
-the frame gives each piece's label (the lifted row added to C's HNF basis),
-a point on it, and its own frame, carried from C's through a completion of
-the local character.  Every frame here comes from ``LocalFrame.torus`` and
-``LocalFrame.child``, so no Smith form is taken.  :func:`intersect_system`
+the frame gives each piece's label (the lifted row added to C's HNF basis)
+and, from one completion of the local character, its own frame, whose
+point lies on the piece.  Every frame here comes from ``LocalFrame.torus``
+and ``LocalFrame.child``, so no Smith form is taken.  :func:`intersect_system`
 is that step folded over the rows of a system, from the full torus.
 
 The poset needs no system solved: the layered sweep of :func:`build_poset`
@@ -112,9 +112,9 @@ def intersect_system(a: IntMatrix, b) -> list[Component]:
     The rows are taken one at a time from the full torus, each by the
     sweep's step: a row constant on a component keeps it or drops it, and
     any other row cuts it into the pieces its trace names, each with the
-    frame :meth:`~toricarr.arrangement.LocalFrame.child` carries to it.
-    Returns the empty list when the system is inconsistent.  A
-    0-dimensional component's witness is the point itself, reduced mod 1.
+    frame :meth:`~toricarr.arrangement.LocalFrame.child` carries to it and
+    that frame's point as witness.  Returns the empty list when the system
+    is inconsistent.  A 0-dimensional witness is reduced mod 1.
     """
     if len(b) != a.rows:
         raise ValueError("one value per character row is required")
@@ -132,9 +132,8 @@ def intersect_system(a: IntMatrix, b) -> list[Component]:
             lifted = frame.lift(chi)
             basis = hnf_add_row(comp.sat_basis, lifted)
             for num, d in pairs:
-                u, m = frame.point(local, num, d)
-                cut.append((_component(basis, _values(basis, u, m), u, m),
-                            frame.child(lifted, local, u, m)))
+                child = frame.child(lifted, local, num, d)
+                cut.append((_component(basis, _values(basis, *child.point), *child.point), child))
         comps = cut
     return [comp for comp, _ in comps]
 
@@ -195,9 +194,11 @@ def _sweep(arr: ToricArrangement, found: list[Component], parents: list[set[int]
     the lifted row.  The set is marked connected, on first sight, when X(C)
     is and the piece counts g of those K have gcd 1: each such chi_K is
     +-g * chi' mod C's label, so X(W) spans W's saturated label and names W
-    alone; other sets name W with its values.  On first sight of W its
-    ``Component`` is appended to ``found``, with an empty set in
-    ``parents``; C's index is added to the parents of W.
+    alone; other sets name W with its values.  A connected set seen before
+    is one lookup; any other piece gets its frame and point from one
+    :meth:`~toricarr.arrangement.LocalFrame.child` call.  A new W (a first
+    seen set always names one) is appended to ``found`` as a ``Component``,
+    with an empty set in ``parents``; C's index is added to W's parents.
     """
     hyps = _keys(arr)
     frames = [(LocalFrame.torus(arr.dim), 0, range(len(hyps)), True)]
@@ -220,31 +221,27 @@ def _sweep(arr: ToricArrangement, found: list[Component], parents: list[set[int]
             pieces: dict = {}
             for i, (local, pairs) in steps:
                 for pair in pairs:
-                    piece = pieces.get((local, pair))
-                    if piece is None:
-                        pieces[local, pair] = [i, 1 << i, len(pairs)]
-                    else:
-                        piece[1] |= 1 << i
-                        piece[2] = gcd(piece[2], len(pairs))
+                    piece = pieces.setdefault((local, pair), [i, 0, 0])
+                    piece[1] |= 1 << i
+                    piece[2] = gcd(piece[2], len(pairs))
             live = [i for i, _ in steps]
             for (local, (num, d)), (i, bits, g) in pieces.items():
-                within, lifted = mask | bits, None
-                if within not in sets:
-                    lifted = frame.lift(hyps[i][0])
-                    sets[within] = (hnf_add_row(comp.sat_basis, lifted), connected and g == 1)
-                basis, alone = sets[within]
-                k = index.get(within) if alone else None
+                within = mask | bits
+                k = index.get(within)
                 if k is None:
-                    u, m = frame.point(local, num, d)
-                    values = _values(basis, u, m)
+                    lifted = frame.lift(hyps[i][0])
+                    child = frame.child(lifted, local, num, d)
+                    if within not in sets:
+                        sets[within] = (hnf_add_row(comp.sat_basis, lifted), connected and g == 1)
+                    basis, alone = sets[within]
+                    values = _values(basis, *child.point)
                     key = within if alone else (within, values)
                     k = index.get(key)
                     if k is None:
                         k = index[key] = len(found)
-                        found.append(_component(basis, values, u, m))
+                        found.append(_component(basis, values, *child.point))
                         parents.append(set())
-                        lifted = lifted or frame.lift(hyps[i][0])
-                        frames.append((frame.child(lifted, local, u, m), within, live, alone))
+                        frames.append((child, within, live, alone))
                         nxt.append(k)
                 parents[k].add(p)
         frontier = nxt

@@ -233,7 +233,7 @@ def test_dr_frame_is_the_sweep_frame():
         keys = _keys(arr)
         torus = LocalFrame.torus(arr.dim)
         for i, (chi, (num, den)) in enumerate(keys):
-            frame = torus.child(chi, chi, *torus.point(chi, num, den))
+            frame = torus.child(chi, chi, num, den)
             swept = tuple(() if tr is None else tuple((tr[0], pair) for pair in tr[1])
                           for tr in (frame.trace(c, p, q) for c, (p, q) in keys))
             assert _traces(keys, i) == swept

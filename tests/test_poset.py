@@ -509,6 +509,26 @@ def test_sweep_solves_no_system(monkeypatch):
         is_unimodular(arr)
 
 
+def test_sweep_completes_each_piece_once(monkeypatch):
+    """Type A is unimodular, so every containing set is connected and names
+    its one component: each new component takes one completion, the one
+    that builds its frame, and a repeat cover takes none."""
+    import toricarr.arrangement as arrangement_module
+
+    calls = []
+    completion = arrangement_module.completion
+
+    def counted(v):
+        calls.append(v)
+        return completion(v)
+
+    monkeypatch.setattr(arrangement_module, "completion", counted)
+    for rank_, new in ((4, 51), (5, 202)):
+        calls.clear()
+        poset = build_poset(weyl("A", rank_))
+        assert len(calls) == len(poset.components) - 1 == new
+
+
 def test_is_unimodular_matches_maximal_minors():
     """On a full-rank character matrix, every subset intersection is empty or
     connected iff every maximal minor lies in {-1, 0, 1}."""

@@ -1,9 +1,9 @@
 """Property tests for the integer kernel built on ``hnf_add_row`` (``hnf``,
 ``row_basis``, ``rank``, ``left_kernel``, ``in_row_lattice``) against the
 classical elimination ``hnf_reference``, for ``snf`` against sympy, for
-``completion``, the ``LocalFrame`` steps (``trace``, ``lift``, ``point``,
-``child``), the parse/serialize round trip and the invariance of the poset
-and of the deletion-restriction verdict under isomorphism."""
+``completion``, the ``LocalFrame`` steps (``trace``, ``lift``, ``child``),
+the parse/serialize round trip and the invariance of the poset and of the
+deletion-restriction verdict under isomorphism."""
 
 from collections import Counter
 from fractions import Fraction
@@ -223,14 +223,15 @@ def test_frame_step_matches_reference(case):
     tr = frame.trace(chi, b.numerator, b.denominator)
     assume(tr is not None)
     local, pairs = tr
-    label = hnf_add_row(s, frame.lift(chi))
+    lifted = frame.lift(chi)
+    label = hnf_add_row(s, lifted)
     assert label == saturation(s.with_row(chi))
     ref = intersect_system_reference(s.with_row(chi), vals + (b,))
     assert len(pairs) == len(ref)
     assert {r.sat_basis for r in ref} == {label}
     on = set()
     for num, d in pairs:
-        u, m = frame.point(local, num, d)
+        u, m = frame.child(lifted, local, num, d).point
         point = [Fraction(x, m) for x in u]
         on.add(tuple(mod1(sum(x * y for x, y in zip(point, h))) for h in label.entries))
     assert on == {r.values for r in ref}
@@ -244,8 +245,9 @@ def _cut(frame, label, chi, tr):
     """The label of the pieces of a trace and the set of their values, read
     at the points the frame gives."""
     local, pairs = tr
-    basis = hnf_add_row(label, frame.lift(chi))
-    points = (frame.point(local, num, d) for num, d in pairs)
+    lifted = frame.lift(chi)
+    basis = hnf_add_row(label, lifted)
+    points = (frame.child(lifted, local, num, d).point for num, d in pairs)
     return basis, {tuple(Fraction(sum(map(mul, h, u)) % m, m) for h in basis.entries)
                    for u, m in points}
 
@@ -270,12 +272,13 @@ def test_child_frame_matches_smith_frame(case, data):
     assert label == saturation(s.with_row(chi))
     pieces = set()
     for num, d in pairs:
-        u, m = frame.point(local, num, d)
+        child = frame.child(lifted, local, num, d)
+        u, m = child.point
         point = [Fraction(x, m) for x in u]
         assert _on(point, s.entries + (tuple(chi),), vals + (b,))
         piece = tuple(mod1(sum(x * y for x, y in zip(point, h))) for h in label.entries)
         pieces.add(piece)
-        child, smith = frame.child(lifted, local, u, m), smith_frame(label, piece)
+        smith = smith_frame(label, piece)
         got, want = (f.trace(row, value.numerator, value.denominator) for f in (child, smith))
         assert (got is None) == (want is None)
         if got is not None:
