@@ -10,7 +10,8 @@ pivots and entries above each pivot reduced into [0, pivot); this makes
 One routine does Hermite elimination: :func:`hnf_add_row` merges one row
 into a canonical basis.  ``row_basis``, ``hnf``, ``rank``, ``left_kernel``
 and ``in_row_lattice`` are folds of it, so the transform ``hnf(A).U`` is
-canonical as well.  The commands use :func:`hnf_add_row` and
+canonical as well.  :func:`snf` carries U and V the same way, in the
+augmented matrix [[a, I], [I, 0]].  The commands use :func:`hnf_add_row` and
 :func:`completion` (every restriction frame); :func:`snf`,
 :func:`saturation`, :func:`hnf` and :func:`left_kernel` serve the
 ``hyperplane`` module and the test oracles.
@@ -109,52 +110,6 @@ class SNFResult:
         return tuple(takewhile(bool, diag))
 
 
-# -- in-place helpers on list-of-list matrices -------------------------------
-
-def _identity_list(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def _swap_rows(m, u, i, j):
-    if i != j:
-        m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
-
-
-def _negate_row(m, u, i):
-    m[i] = [-x for x in m[i]]
-    u[i] = [-x for x in u[i]]
-
-
-def _row_sub(m, u, i, k, q):
-    """row_i -= q * row_k"""
-    if q:
-        m[i] = [a - q * b for a, b in zip(m[i], m[k])]
-        u[i] = [a - q * b for a, b in zip(u[i], u[k])]
-
-
-def _row_add(m, u, i, k):
-    m[i] = [a + b for a, b in zip(m[i], m[k])]
-    u[i] = [a + b for a, b in zip(u[i], u[k])]
-
-
-def _swap_cols(m, v, j, k):
-    if j != k:
-        for row in m:
-            row[j], row[k] = row[k], row[j]
-        for row in v:
-            row[j], row[k] = row[k], row[j]
-
-
-def _col_sub(m, v, j, k, q):
-    """col_j -= q * col_k"""
-    if q:
-        for row in m:
-            row[j] -= q * row[k]
-        for row in v:
-            row[j] -= q * row[k]
-
-
 def _freeze(m, cols) -> IntMatrix:
     return IntMatrix(len(m), cols, tuple(tuple(r) for r in m))
 
@@ -163,49 +118,54 @@ def snf(a: IntMatrix) -> SNFResult:
     """Smith normal form with both unimodular transforms.
 
     Returns D = U @ a @ V diagonal with the divisibility chain
-    d_1 | d_2 | ... | d_r > 0 followed by zeros.
+    d_1 | d_2 | ... | d_r > 0 followed by zeros.  The elimination runs on
+    the augmented matrix [[a, I_m], [I_n, 0]], the way :func:`hnf` carries
+    U in [a | I]: row operations touch only the first m rows, so U builds
+    up in the top-right block, and column operations only the first n
+    columns, so V builds up in the bottom-left block.
     """
     m, n = a.rows, a.cols
-    M = [list(r) for r in a.entries]
-    U = _identity_list(m)
-    V = _identity_list(n)
+    eye = IntMatrix.identity(n + m).entries
+    M = [list(r + e[n:]) for r, e in zip(a.entries, eye[n:])] + [list(e) for e in eye[:n]]
+
+    def swap_cols(j, k):
+        for r in M:
+            r[j], r[k] = r[k], r[j]
+
     for t in range(min(m, n)):
-        # choose the absolutely smallest nonzero entry of the block as pivot
-        piv = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                x = M[i][j]
-                if x and (best is None or abs(x) < best):
-                    best = abs(x)
-                    piv = (i, j)
-        if piv is None:
+        # the absolutely smallest nonzero entry of the block, first in row-major order
+        block = [(abs(M[i][j]), i, j) for i in range(t, m) for j in range(t, n) if M[i][j]]
+        if not block:
             break
-        _swap_rows(M, U, t, piv[0])
-        _swap_cols(M, V, t, piv[1])
+        _, i, j = min(block)
+        M[t], M[i] = M[i], M[t]
+        swap_cols(t, j)
         if M[t][t] < 0:
-            _negate_row(M, U, t)
+            M[t] = [-x for x in M[t]]
         while True:
             for i in range(t + 1, m):
                 while M[i][t]:
-                    _row_sub(M, U, i, t, M[i][t] // M[t][t])
+                    q = M[i][t] // M[t][t]
+                    M[i] = [x - q * y for x, y in zip(M[i], M[t])]
                     if M[i][t]:
-                        _swap_rows(M, U, i, t)
+                        M[i], M[t] = M[t], M[i]
             for j in range(t + 1, n):
                 while M[t][j]:
-                    _col_sub(M, V, j, t, M[t][j] // M[t][t])
+                    q = M[t][j] // M[t][t]
+                    for r in M:
+                        r[j] -= q * r[t]
                     if M[t][j]:
-                        _swap_cols(M, V, j, t)
+                        swap_cols(j, t)
             if any(M[i][t] for i in range(t + 1, m)):
                 continue  # a column swap re-dirtied the pivot column
             # force d_t to divide the rest of the block
             d = M[t][t]
-            viol = next(((i, j) for i in range(t + 1, m) for j in range(t + 1, n)
-                         if M[i][j] % d), None)
+            viol = next((i for i in range(t + 1, m) for j in range(t + 1, n) if M[i][j] % d), None)
             if viol is None:
                 break
-            _row_add(M, U, t, viol[0])
-    return SNFResult(_freeze(M, n), _freeze(U, m), _freeze(V, n))
+            M[t] = [x + y for x, y in zip(M[t], M[viol])]
+    return SNFResult(_freeze([r[:n] for r in M[:m]], n), _freeze([r[n:] for r in M[:m]], m),
+                     _freeze([r[:n] for r in M[m:]], n))
 
 
 def pivot_positions(h: IntMatrix) -> tuple[tuple[int, int], ...]:

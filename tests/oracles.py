@@ -29,10 +29,6 @@ from toricarr.lattice import (
     HNFResult,
     IntMatrix,
     _freeze,
-    _identity_list,
-    _negate_row,
-    _row_sub,
-    _swap_rows,
     completion,
     left_kernel,
     snf,
@@ -190,6 +186,11 @@ def weyl_poincare_closed_form(family, rank_):
                 basis = [a - qm * b for a, b in zip([Fraction(0)] + basis, basis + [Fraction(0)])]
                 basis = [x / (qj - qm) for x in basis]
         chi = [a + b for a, b in zip(chi, basis)]
+    return _poincare_from_count(chi, l)
+
+
+def _poincare_from_count(chi, l):
+    """P(t) = (-t)^l chi(-(1 + t) / t), chi(q) given by its coefficients of q^k."""
     # (-t)^l (-(1+t)/t)^k = (-1)^(l+k) (1+t)^k t^(l-k)
     poly = [Fraction(0)] * (l + 1)
     for k, a in enumerate(chi):
@@ -197,6 +198,49 @@ def weyl_poincare_closed_form(family, rank_):
             poly[l - k + j] += (-1) ** (l + k) * a * comb(k, j)
     assert all(x.denominator == 1 for x in poly)
     return Polynomial(tuple(int(x) for x in poly))
+
+
+def graphic(nv, edges):
+    """The graphic toric arrangement of a graph on the vertices 0 .. nv - 1:
+    one hypersurface z_i z_j^-1 = 1 per edge (i, j)."""
+    return ToricArrangement(nv, tuple(
+        Hypersurface(tuple((k == i) - (k == j) for k in range(nv)), Fraction(0))
+        for i, j in edges))
+
+
+def chromatic_poincare(nv, edges):
+    """Poincare polynomial of ``graphic(nv, edges)`` by its closed form.
+
+    The q-torsion points off every hypersurface are the proper q-colourings
+    of the graph, so chi(q) = chi_G(q) = sum_k a_k q(q - 1)...(q - k + 1),
+    with a_k the number of partitions of the vertices into k independent
+    sets.  A programme over vertex subsets finds the a_k in 3^nv steps: the
+    block holding a set's lowest vertex is an independent set containing it.
+    """
+    adj = [0] * nv
+    for i, j in edges:
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    independent = [not any(s >> v & 1 and adj[v] & s for v in range(nv)) for s in range(1 << nv)]
+    parts = [[1]]   # parts[s][k]: partitions of the set s into k independent sets
+    for s in range(1, 1 << nv):
+        low = s & -s
+        rest = b = s ^ low
+        counts = [0] * (bin(s).count("1") + 1)
+        while True:
+            if independent[b | low]:
+                for k, x in enumerate(parts[rest ^ b]):
+                    counts[k + 1] += x
+            if not b:
+                break
+            b = (b - 1) & rest
+        parts.append(counts)
+    chi, falling = [0] * (nv + 1), [1]   # falling: q(q - 1)...(q - k + 1)
+    for k, a in enumerate(parts[-1]):
+        for d, x in enumerate(falling):
+            chi[d] += a * x
+        falling = [lo - k * hi for lo, hi in zip([0] + falling, falling + [0])]
+    return _poincare_from_count(chi, nv)
 
 
 @lru_cache(maxsize=None)
@@ -400,6 +444,30 @@ def grid_component_count(a: IntMatrix, b) -> int:
     classes, counts = np.unique(vals, axis=0, return_counts=True)
     assert len(set(counts.tolist())) == 1, "unequal component classes on the grid"
     return len(classes)
+
+
+# -- in-place helpers on list-of-list matrices, for hnf_reference ------------
+
+def _identity_list(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def _swap_rows(m, u, i, j):
+    if i != j:
+        m[i], m[j] = m[j], m[i]
+        u[i], u[j] = u[j], u[i]
+
+
+def _negate_row(m, u, i):
+    m[i] = [-x for x in m[i]]
+    u[i] = [-x for x in u[i]]
+
+
+def _row_sub(m, u, i, k, q):
+    """row_i -= q * row_k"""
+    if q:
+        m[i] = [a - q * b for a, b in zip(m[i], m[k])]
+        u[i] = [a - q * b for a, b in zip(u[i], u[k])]
 
 
 def hnf_reference(a: IntMatrix) -> HNFResult:

@@ -15,10 +15,13 @@ from toricarr.cohomology import (
     find_dr_ordering,
 )
 from toricarr.polynomial import Polynomial
+from toricarr.poset import is_unimodular
 
 from oracles import (
+    chromatic_poincare,
     dr_poincare_reference,
     find_dr_ordering_reference,
+    graphic,
     pair_step_counts,
     random_arrangement,
     random_unimodular_arrangement,
@@ -280,6 +283,72 @@ def test_unimodular_arrangements_are_dr_type():
         rep = find_dr_ordering(arr)
         assert rep.ordering is not None
         assert dr_poincare(arr, rep.ordering) == dcp_poincare(arr)
+
+
+# -- graphic arrangements: chi is the chromatic polynomial -----------------------
+
+def _cycle(nv):
+    return [(i, (i + 1) % nv) for i in range(nv)]
+
+
+def _random_graphs(count, seed=15):
+    """Seeded graphs on at most 7 vertices with at most 12 edges (the search limit)."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        nv = rng.randint(4, 7)
+        pairs = [(i, j) for i in range(nv) for j in range(i + 1, nv)]
+        out.append((nv, rng.sample(pairs, rng.randint(nv - 1, min(12, len(pairs))))))
+    return out
+
+
+GRAPHS = {
+    "C4": (4, _cycle(4)),
+    "C5": (5, _cycle(5)),
+    "K4": (4, [(i, j) for i in range(4) for j in range(i + 1, 4)]),
+    "K4-e": (4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]),
+    "C6+chord": (6, _cycle(6) + [(0, 3)]),
+    "W5": (6, _cycle(5) + [(5, i) for i in range(5)]),
+    "K33": (6, [(i, j) for i in range(3) for j in range(3, 6)]),
+    **{f"random-{k}": g for k, g in enumerate(_random_graphs(12))},
+}
+
+
+@pytest.mark.parametrize("name,expected", [
+    ("C6+chord", (1, 13, 71, 207, 337, 287, 98)),
+    ("W5", (1, 16, 105, 360, 674, 644, 240)),
+    ("K33", (1, 15, 96, 329, 624, 607, 230)),
+])
+def test_chromatic_closed_form_values(name, expected):
+    assert chromatic_poincare(*GRAPHS[name]).coefficients == expected
+
+
+@pytest.mark.parametrize("name", GRAPHS)
+def test_graphic_arrangements_match_the_chromatic_closed_form(name):
+    """A graph's incidence matrix is totally unimodular, so its arrangement
+    is unimodular and every ordering passes; both methods give the closed form."""
+    nv, edges = GRAPHS[name]
+    arr, expected = graphic(nv, edges), chromatic_poincare(nv, edges)
+    assert dcp_poincare(arr) == expected
+    assert is_unimodular(arr)
+    rep = find_dr_ordering(arr)
+    assert rep.verdict
+    assert dr_poincare(arr, rep.ordering) == expected
+    rng = random.Random(name)
+    for _ in range(3):
+        ordering = tuple(rng.sample(range(arr.n), arr.n))
+        assert dr_condition_check(arr, ordering).verdict
+        assert dr_poincare(arr, ordering) == expected
+
+
+def test_petersen_graph_dcp():
+    """n = 15 is past the ordering search, so only dcp is checked."""
+    outer = _cycle(5)
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    edges = outer + inner + [(i, i + 5) for i in range(5)]
+    expected = (1, 25, 285, 1955, 8948, 28556, 64250, 100260, 103156, 62524, 16680)
+    assert chromatic_poincare(10, edges).coefficients == expected
+    assert dcp_poincare(graphic(10, edges)) == Polynomial(expected)
 
 
 def test_weyl_a2_poincare():

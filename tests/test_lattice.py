@@ -131,6 +131,24 @@ def test_snf_examples(rows, expected):
     snf_diag_ok(res)
 
 
+@pytest.mark.parametrize("rows,D,U,V", [
+    ([[2, 4, 4], [-6, 6, 12], [10, -4, -16]],
+     ((2, 0, 0), (0, 6, 0), (0, 0, 12)),
+     ((1, 0, 0), (2, -1, -1), (3, -4, -3)),
+     ((1, -2, 2), (0, 1, -2), (0, 0, 1))),
+    ([[2, -3], [-1, 2]], ((1, 0), (0, 1)), ((0, -1), (1, 2)), ((1, 2), (0, 1))),
+    ([[2, 4, 6], [1, 2, 3]],
+     ((1, 0, 0), (0, 0, 0)), ((0, 1), (1, -2)), ((1, -2, -3), (0, 1, 0), (0, 0, 1))),
+    ([[0, 3], [6, 0], [0, 0]],
+     ((3, 0), (0, 6), (0, 0)), ((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((0, 1), (1, 0))),
+])
+def test_snf_exact_transforms(rows, D, U, V):
+    """The transforms themselves, not only their properties: ``smith_frame``
+    reads V, so the pivot rule and the operation order are pinned."""
+    res = snf(M(rows))
+    assert (res.D.entries, res.U.entries, res.V.entries) == (D, U, V)
+
+
 def brute_minor_gcd(a, r):
     g = 0
     for rows in combinations(range(a.rows), r):
