@@ -43,7 +43,6 @@ from .cohomology import (
     dr_condition_check,
     find_dr_ordering,
     dr_poincare,
-    betti,
 )
 
 

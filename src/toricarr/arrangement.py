@@ -17,10 +17,10 @@ whose point lies on it.  The poset sweep builds every frame with
 :meth:`LocalFrame.torus` and :meth:`LocalFrame.child`, through
 :func:`~toricarr.lattice.completion`; K_i's is the one the sweep gives the
 codim-1 component K_i, built directly.  Restriction to K_i yields a
-``ToricArrangement`` in a torus of one dimension less: :func:`traces` gives
-the components each hypersurface cuts on K_i, and :func:`restrict` their
-ordered union over a prefix.  The deletion-restriction searches order the
-pieces by K_i's coordinates, so their orderings and refusals depend on it.
+``ToricArrangement`` in a torus of one dimension less: :func:`restrict`
+gives the components the hypersurfaces of a prefix cut on K_i, in order.
+The deletion-restriction searches order the pieces by K_i's coordinates, so
+their orderings and refusals depend on it.
 """
 
 from __future__ import annotations
@@ -373,27 +373,16 @@ def _keys(arr: ToricArrangement) -> tuple:
 
 
 def _traces(keys, i: int) -> tuple[tuple, ...]:
-    """:func:`traces` on integer keys: each component as a key (c', (num, den))
-    in normal form, c' primitive with first nonzero entry positive."""
+    """The trace of every hypersurface on K_i, hypersurface ``i`` (0-based), in
+    K_i's :class:`LocalFrame`: entry r lists the g components of K_r ∩ K_i as
+    keys (c', (num, den)), c' primitive with first nonzero entry positive,
+    component t at position t; it is empty for r == i and K_r parallel to K_i."""
     chi, (num, den) = keys[i]
     # LocalFrame.torus(l).child(chi, chi, num, den) minus its identity products (12-44% faster)
     y, *kernel = completion(chi)
     frame = LocalFrame(den, [num * x for x in y], kernel, (y,), (chi,))
     return tuple(() if tr is None else tuple((tr[0], pair) for pair in tr[1])
                  for tr in (frame.trace(c, p, q) for c, (p, q) in keys))
-
-
-def traces(arr: ToricArrangement, i: int) -> tuple[tuple[Hypersurface, ...], ...]:
-    """Trace of every hypersurface on hypersurface ``i``, 0-based.
-
-    K_i = {chi_i @ u = b_i} becomes a torus of dimension ``dim - 1`` in the
-    frame of :class:`LocalFrame`.  Entry r lists the g connected components
-    of K_r ∩ K_i (g the gcd of chi_r restricted to K_i) as hypersurfaces of
-    that torus, component t at position t; it is empty for r == i and for
-    K_r parallel to K_i.  The DR layer reads them as keys (chi, (num, den)).
-    """
-    return tuple(tuple(Hypersurface(chi, Fraction(*value)) for chi, value in t)
-                 for t in _traces(_keys(arr), i))
 
 
 def _union(trace, prefix) -> tuple:
@@ -405,9 +394,10 @@ def _union(trace, prefix) -> tuple:
 def restrict(arr: ToricArrangement, i: int, prefix) -> ToricArrangement:
     """Arrangement traced on hypersurface ``i`` by the hypersurfaces in ``prefix``.
 
-    The torus K_i of dimension ``dim - 1`` with the union of
-    ``traces(arr, i)[r]`` over r in ``prefix``: each component once, in order
-    of first occurrence over the sorted prefix.  Indices are 0-based.
+    The torus K_i of dimension ``dim - 1`` with the connected components of
+    K_r ∩ K_i over r in ``prefix``: each component once, in order of first
+    occurrence over the sorted prefix, and the g components of one K_r ∩ K_i
+    in the order of :func:`_traces`.  Indices are 0-based.
     """
     prefix = set(prefix)
     if not 0 <= i < arr.n:
@@ -416,4 +406,6 @@ def restrict(arr: ToricArrangement, i: int, prefix) -> ToricArrangement:
         raise ValueError(f"index {i} appears in its own prefix")
     if any(not 0 <= r < arr.n for r in prefix):
         raise ValueError("prefix index out of range")
-    return ToricArrangement(arr.dim - 1, _union(traces(arr, i), prefix))
+    return ToricArrangement(arr.dim - 1, tuple(
+        Hypersurface(chi, Fraction(*value))
+        for chi, value in _union(_traces(_keys(arr), i), prefix)))

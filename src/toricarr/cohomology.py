@@ -182,8 +182,3 @@ def dr_poincare(arr: ToricArrangement, ordering) -> Polynomial:
         return total
 
     return recurse(arr.dim, keys, table, report.ordering)
-
-
-def betti(arr: ToricArrangement) -> tuple[int, ...]:
-    """Betti numbers of the complement (coefficients of dcp_poincare)."""
-    return dcp_poincare(arr).coefficients

@@ -26,7 +26,7 @@ import numpy as np
 from .arrangement import ToricArrangement
 
 
-class SamplingError(RuntimeError):
+class SamplingError(ValueError):
     """The rejection sampler could not find a point off the hypersurfaces."""
 
 

@@ -16,7 +16,7 @@ from math import gcd
 from .arrangement import ToricArrangement, mod1
 from .lattice import IntMatrix, in_row_lattice, left_kernel, rank, saturation
 from .polynomial import Polynomial
-from .poset import Component, _dot, hypersurface_contains
+from .poset import Component, _dot, _holds
 
 
 def _primitive_signed(v: tuple[int, ...]) -> tuple[int, ...]:
@@ -162,7 +162,7 @@ def local_arrangement(arr: ToricArrangement, comp: Component) -> CentralArrangem
     for k, h in enumerate(comp.sat_basis.entries):
         if mod1(_dot(h, comp.witness)) != comp.values[k]:
             raise ValueError("component witness does not match its values")
-    normals = tuple(h.chi for h in arr.hypersurfaces if hypersurface_contains(comp, h))
+    normals = tuple(h.chi for h in arr.hypersurfaces if _holds(comp, h.chi, h.b))
     return CentralArrangement(arr.dim, IntMatrix(len(normals), arr.dim, normals))
 
 

@@ -44,7 +44,7 @@ from fractions import Fraction
 from math import gcd
 from operator import mul
 
-from .arrangement import Hypersurface, LocalFrame, ToricArrangement, _keys, _reduced, mod1
+from .arrangement import LocalFrame, ToricArrangement, _keys, _reduced, mod1
 from .lattice import IntMatrix, hnf_add_row, in_row_lattice
 from .lattice import snf  # noqa: F401  (toricarr.poset.snf is looked up by bench/)
 from .polynomial import Polynomial
@@ -89,11 +89,6 @@ def component_contains(inner: Component, outer: Component) -> bool:
     """True iff ``inner`` is a subset of ``outer``: every label row of
     ``outer`` holds on ``inner``."""
     return all(_holds(inner, h, b) for h, b in zip(outer.sat_basis.entries, outer.values))
-
-
-def hypersurface_contains(comp: Component, h: Hypersurface) -> bool:
-    """True iff the hypersurface contains the whole component."""
-    return _holds(comp, h.chi, h.b)
 
 
 def _values(basis: IntMatrix, u, m) -> tuple:

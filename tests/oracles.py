@@ -372,10 +372,12 @@ def _trace(arr, i, v, r):
 
 
 def traces_reference(arr, i):
-    """``traces(arr, i)`` through a completion of chi_i to a unimodular
-    basis: V with chi_i @ V = e_1 maps K_i onto the torus of the last
-    dim - 1 coordinates, and entry r lists the g components of K_r ∩ K_i
-    (g the gcd of the tail of chi_r @ V), component t at position t."""
+    """The trace of every hypersurface on K_i, through a completion of chi_i
+    to a unimodular basis: V with chi_i @ V = e_1 maps K_i onto the torus of
+    the last dim - 1 coordinates, and entry r lists the g components of
+    K_r ∩ K_i (g the gcd of the tail of chi_r @ V) as hypersurfaces of that
+    torus, component t at position t; it is empty for r == i and for K_r
+    parallel to K_i.  Entry r != i is ``restrict(arr, i, [r]).hypersurfaces``."""
     v = _completion_to_basis(arr.hypersurfaces[i].chi)
     return tuple(_trace(arr, i, v, r) for r in range(arr.n))
 

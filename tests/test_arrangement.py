@@ -13,7 +13,6 @@ from toricarr.arrangement import (
     positive_roots,
     restrict,
     serialize,
-    traces,
     _keys,
     _traces,
     weyl,
@@ -185,8 +184,8 @@ def test_restrict_four_lines_last():
     assert {(h.chi, h.b) for h in amb.hypersurfaces} == {
         ((1,), Fraction(0)), ((1,), Fraction(1, 2))}
     # the point w = 1 is cut by all three predecessors, w = -1 only by the third
-    trace = traces(arr, 3)
-    by_b = {h.b: [r for r in range(3) if h in trace[r]] for h in amb.hypersurfaces}
+    by_b = {h.b: [r for r in range(3) if h in restrict(arr, 3, [r]).hypersurfaces]
+            for h in amb.hypersurfaces}
     assert by_b == {Fraction(0): [0, 1, 2], Fraction(1, 2): [2]}
 
 
@@ -204,11 +203,14 @@ def test_restrict_disconnected_trace():
 
 
 def test_traces_entries():
-    tr = traces(two_curves(), 1)
-    assert tr[1] == ()
-    assert {(h.chi, h.b) for h in tr[0]} == {((1,), Fraction(k, 3)) for k in range(3)}
+    arr = two_curves()
+    assert _traces(_keys(arr), 1)[1] == ()
+    assert {(h.chi, h.b) for h in restrict(arr, 1, [0]).hypersurfaces} == {
+        ((1,), Fraction(k, 3)) for k in range(3)}
     # parallel hypersurfaces are disjoint
-    assert traces(parse("torus 2\nhyp 1 0 @ 0/1\nhyp 1 0 @ 1/2\n"), 0) == ((), ())
+    parallel = parse("torus 2\nhyp 1 0 @ 0/1\nhyp 1 0 @ 1/2\n")
+    assert _traces(_keys(parallel), 0) == ((), ())
+    assert restrict(parallel, 0, [1]).hypersurfaces == ()
 
 
 def _trace_corpus():
@@ -219,11 +221,16 @@ def _trace_corpus():
 
 
 def test_traces_match_reference():
-    """Same entries in the same order as the completion-to-basis frame of
+    """The trace of K_r on K_i, read as ``restrict(arr, i, [r])``, has the
+    same entries in the same order as the completion-to-basis frame of
     ``traces_reference``, component t at position t."""
     for arr in _trace_corpus():
         for i in range(arr.n):
-            assert traces(arr, i) == traces_reference(arr, i)
+            reference = traces_reference(arr, i)
+            assert _traces(_keys(arr), i)[i] == reference[i] == ()
+            for r in range(arr.n):
+                if r != i:
+                    assert restrict(arr, i, [r]).hypersurfaces == reference[r]
 
 
 def test_dr_frame_is_the_sweep_frame():
@@ -240,8 +247,9 @@ def test_dr_frame_is_the_sweep_frame():
 
 
 def test_restrict_is_union_of_traces():
-    """restrict is the union of ``traces(arr, i)`` over the prefix: each
-    component once, in order of first occurrence over the sorted prefix."""
+    """restrict is the union of the one-hypersurface restrictions over the
+    prefix: each component once, in order of first occurrence over the
+    sorted prefix."""
     rng = random.Random(18)
     arrs = [random_arrangement(rng, max_l=4, max_n=6) for _ in range(60)]
     arrs += [four_lines(), two_curves(), weyl("G2", 2), weyl("B", 3), braid(4)]
@@ -249,10 +257,9 @@ def test_restrict_is_union_of_traces():
         for i in range(arr.n):
             prefix = [r for r in range(arr.n) if r != i and rng.random() < 0.6]
             rng.shuffle(prefix)
-            trace = traces(arr, i)
             union = []
             for r in sorted(prefix):
-                union += [h for h in trace[r] if h not in union]
+                union += [h for h in restrict(arr, i, [r]).hypersurfaces if h not in union]
             assert restrict(arr, i, prefix) == ToricArrangement(arr.dim - 1, tuple(union))
 
 

@@ -346,6 +346,22 @@ def test_relations_huge_exponent_refused(workdir, capsys):
     assert err.startswith("toricarr: 1000 draws")
 
 
+def test_sampling_error_is_a_value_error(workdir, capsys, monkeypatch):
+    # main's ValueError handler reports it; cmd_relations does not name it
+    from toricarr.forms import SamplingError
+
+    assert issubclass(SamplingError, ValueError)
+
+    def fail(arr, samples, seed):
+        raise SamplingError("1000 draws all fell within 1e-3 of a hypersurface")
+
+    monkeypatch.setattr("toricarr.forms._points", fail)
+    code, out, err = run(capsys, "relations", "four_lines.txt")
+    assert code == 1
+    assert out == ""
+    assert err == "toricarr: 1000 draws all fell within 1e-3 of a hypersurface\n"
+
+
 def test_relations_large_exponent_consistent(workdir, capsys):
     (workdir / "large.txt").write_text("torus 2\nhyp 100000 1 @ 0/1\nhyp 1 0 @ 0/1\n")
     code, out, _ = run(capsys, "relations", "large.txt")
@@ -436,11 +452,12 @@ def test_analyze_methods_agree_on_dr_fixtures(workdir, capsys):
 
 # -- numpy is loaded only by `relations` (toricarr.forms is a lazy module) ----
 
-# The public names of the package when it imported forms eagerly.
+# The public names of the package when it imported forms eagerly, less betti
+# (the coefficients of dcp_poincare, which is kept).
 PUBLIC_NAMES = (
     "CentralArrangement", "Component", "DrHypothesisError", "DrReport", "FormGenerator",
     "Hypersurface", "IntMatrix", "IntersectionPoset", "ParseError", "Polynomial",
-    "RelationBasis", "SubspaceLattice", "ToricArrangement", "arrangement", "betti", "braid",
+    "RelationBasis", "SubspaceLattice", "ToricArrangement", "arrangement", "braid",
     "build_poset", "cohomology", "dcp_poincare", "degree2_relations", "delete",
     "dr_condition_check", "dr_poincare", "eval_generator", "find_dr_ordering", "forms",
     "generators", "hnf", "hyperplane", "intersect_system", "intersection_lattice",

@@ -8,7 +8,6 @@ from toricarr import cohomology
 from toricarr.arrangement import ToricArrangement, _keys, braid, parse, weyl
 from toricarr.cohomology import (
     DrHypothesisError,
-    betti,
     dcp_poincare,
     dr_condition_check,
     dr_poincare,
@@ -182,11 +181,11 @@ def test_dr_along_shuffled_orderings_matches_reference():
 # -- betti and method agreement -------------------------------------------------------
 
 def test_betti_examples():
-    assert betti(four_lines()) == (1, 6, 9)
-    assert betti(ToricArrangement(3, ())) == (1, 3, 3, 1)
+    assert dcp_poincare(four_lines()).coefficients == (1, 6, 9)
+    assert dcp_poincare(ToricArrangement(3, ())).coefficients == (1, 3, 3, 1)
     factored = Polynomial((1, 1)) * Polynomial((1, 2)) * Polynomial((1, 3))
     b3 = braid(3)
-    assert betti(b3) == factored.coefficients
+    assert dcp_poincare(b3).coefficients == factored.coefficients
     rep = find_dr_ordering(b3)
     assert dr_poincare(b3, rep.ordering) == factored
 
@@ -352,7 +351,7 @@ def test_petersen_graph_dcp():
 
 
 def test_weyl_a2_poincare():
-    assert betti(weyl("A", 2)) == (1, 5, 6)
+    assert dcp_poincare(weyl("A", 2)).coefficients == (1, 5, 6)
 
 
 def test_braid_product_formula():
@@ -379,6 +378,23 @@ def test_dcp_matches_whitney_subset_formula():
     arrs += [random_arrangement(rng, max_l=3, max_n=6) for _ in range(50)]
     for arr in arrs:
         assert whitney_poincare(arr) == dcp_poincare(arr)
+
+
+def test_h2_from_identity_step_counts():
+    """b_2 without a poset: C(l, 2) from the torus, l - 1 per hypersurface,
+    and |mu(W)| = m - 1 for a codim-2 component W in m hypersurfaces, which
+    the identity ordering counts once on each of the last m - 1 of them."""
+    arrs = [weyl("A", r) for r in (2, 3, 4, 5)] + [weyl("B", r) for r in (2, 3, 4)]
+    arrs += [weyl("C", 3), weyl("D", 4), weyl("G2", 2)] + [braid(l) for l in (3, 4, 5)]
+    arrs += [graphic(*g) for name, g in GRAPHS.items() if not name.startswith("random-")]
+    rng = random.Random(3)
+    arrs += [random_arrangement(rng, max_l=4, max_n=7) for _ in range(150)]
+    for arr in arrs:
+        l, n = arr.dim, arr.n
+        steps = sum(dr_condition_check(arr, range(n)).step_counts)
+        assert l * (l - 1) // 2 + n * (l - 1) + steps == dcp_poincare(arr).coefficient(2)
+    assert dcp_poincare(weyl("G2", 2)).coefficient(2) == 19
+    assert dcp_poincare(graphic(*GRAPHS["C6+chord"])).coefficient(2) == 71
 
 
 # order of the Weyl group, and index of connection (determinant of the Cartan matrix)

@@ -11,9 +11,9 @@ from toricarr.poset import (
     build_poset,
     component_contains,
     full_torus,
-    hypersurface_contains,
     intersect_system,
     is_unimodular,
+    _holds,
 )
 
 from oracles import (
@@ -269,7 +269,7 @@ def _assert_poset_matches_reference(arr):
         for h, value in zip(comp.sat_basis.entries, comp.values):
             assert sum((a * b for a, b in zip(h, comp.witness)), Fraction(0)) % 1 == value
         for h in arr.hypersurfaces:
-            assert hypersurface_contains(comp, h) == hypersurface_contains(other, h)
+            assert _holds(comp, h.chi, h.b) == _holds(other, h.chi, h.b)
 
 
 @pytest.mark.parametrize("make", POSET_CORPUS, ids=POSET_IDS)
