@@ -25,12 +25,13 @@ their orderings and refusals depend on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .lattice import IntMatrix, completion, is_primitive
+from .lattice import Frozen, IntMatrix, completion, is_primitive
 
 # Most pieces one trace may cut; LocalFrame.trace refuses a larger g = gcd(c)
 # before it enumerates them (g reaches a few hundred on small exponents).
@@ -60,15 +61,13 @@ def _reduced(x: int, m: int) -> tuple[int, int]:
     return x // r, m // r
 
 
-@dataclass(frozen=True)
-class Hypersurface:
+class Hypersurface(Frozen):
     """Connected toric hypersurface {z : z^chi = exp(2*pi*i*b)}."""
 
-    chi: tuple[int, ...]
-    b: Fraction
+    __slots__ = ("chi", "b")
 
-    def __post_init__(self):
-        chi, b = tuple(int(x) for x in self.chi), self.b
+    def __init__(self, chi: tuple[int, ...], b: Fraction):
+        chi = tuple(int(x) for x in chi)
         if next((x for x in chi if x), 0) < 0:
             chi, b = tuple(-x for x in chi), -b
         if not is_primitive(chi):
@@ -77,21 +76,20 @@ class Hypersurface:
         object.__setattr__(self, "b", mod1(b))
 
 
-@dataclass(frozen=True)
-class ToricArrangement:
+class ToricArrangement(Frozen):
     """Finite ordered list of toric hypersurfaces in the torus (C*)^dim."""
 
-    dim: int
-    hypersurfaces: tuple[Hypersurface, ...]
+    __slots__ = ("dim", "hypersurfaces", "__weakref__")  # cohomology._top holds a weak reference
 
-    def __post_init__(self):
-        object.__setattr__(self, "hypersurfaces", tuple(self.hypersurfaces))
-        if self.dim < 0:
+    def __init__(self, dim: int, hypersurfaces: tuple[Hypersurface, ...]):
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "hypersurfaces", tuple(hypersurfaces))
+        if dim < 0:
             raise ValueError("torus dimension must be nonnegative")
         seen = set()
         for h in self.hypersurfaces:
-            if len(h.chi) != self.dim:
-                raise ValueError(f"character {h.chi} has wrong length for dimension {self.dim}")
+            if len(h.chi) != dim:
+                raise ValueError(f"character {h.chi} has wrong length for dimension {dim}")
             key = (h.chi, h.b)
             if key in seen:
                 raise ValueError(f"duplicate hypersurface {h.chi} @ {h.b}")
@@ -109,6 +107,18 @@ class ToricArrangement:
 
 
 # -- text format ---------------------------------------------------------------
+
+def _parse_int(token: str, line_no: int, message: str) -> int:
+    """``int(token)``, else a ``malformed`` error with ``message``, or naming the
+    interpreter's digit limit for an integer with more digits than it converts."""
+    try:
+        return int(token)
+    except ValueError:
+        if re.fullmatch(r"[+-]?\d+(_\d+)*", token):  # int() refused it only for its length
+            message = (f"integer of {sum(map(str.isdecimal, token))} digits, past the digit "
+                       f"limit of {sys.get_int_max_str_digits()} (PYTHONINTMAXSTRDIGITS)")
+        raise ParseError(line_no, "malformed", message) from None
+
 
 def parse(text: str) -> ToricArrangement:
     """Parse the line-oriented arrangement format.
@@ -131,10 +141,7 @@ def parse(text: str) -> ToricArrangement:
         if dim is None:
             if tokens[0] != "torus" or len(tokens) != 2:
                 raise ParseError(line_no, "malformed", "expected 'torus <l>'")
-            try:
-                dim = int(tokens[1])
-            except ValueError:
-                raise ParseError(line_no, "malformed", f"bad dimension {tokens[1]!r}") from None
+            dim = _parse_int(tokens[1], line_no, f"bad dimension {tokens[1]!r}")
             if dim < 0:
                 raise ParseError(line_no, "malformed", "negative torus dimension")
             continue
@@ -146,17 +153,11 @@ def parse(text: str) -> ToricArrangement:
         if len(exps) != dim:
             raise ParseError(line_no, "dimension",
                              f"{len(exps)} exponents for a torus of dimension {dim}")
-        try:
-            chi = tuple(int(t) for t in exps)
-        except ValueError:
-            raise ParseError(line_no, "malformed", "exponents must be integers") from None
+        chi = tuple(_parse_int(t, line_no, "exponents must be integers") for t in exps)
         frac = tokens[-1].split("/")
         if len(frac) != 2:
             raise ParseError(line_no, "malformed", f"bad constant {tokens[-1]!r}")
-        try:
-            p, q = int(frac[0]), int(frac[1])
-        except ValueError:
-            raise ParseError(line_no, "malformed", f"bad constant {tokens[-1]!r}") from None
+        p, q = (_parse_int(t, line_no, f"bad constant {tokens[-1]!r}") for t in frac)
         if q < 1 or not 0 <= p < q:
             raise ParseError(line_no, "malformed",
                              f"constant must satisfy 0 <= p < q, got {p}/{q}")

@@ -7,7 +7,8 @@ trace past ``MAX_TRACE_PIECES``, or out of memory), 2 refusal (a requested
 deletion-restriction computation whose hypothesis fails).
 
 numpy is loaded only by ``relations``: :mod:`toricarr.forms` is a lazy module
-(see the package docstring), touched only inside :func:`cmd_relations`.
+(see the package docstring), touched only inside :func:`cmd_relations`.  No
+command touches the lazy :mod:`toricarr.hyperplane` or imports a class generator.
 """
 
 from __future__ import annotations

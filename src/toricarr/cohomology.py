@@ -22,10 +22,10 @@ keys, recurses along the ordering its own search found, memoized on
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from weakref import ref
 
 from .arrangement import ToricArrangement, _keys, _traces, _union
+from .lattice import Frozen
 from .polynomial import Polynomial
 from .poset import build_poset
 
@@ -34,8 +34,7 @@ class DrHypothesisError(RuntimeError):
     """Raised when a deletion-restriction computation is not justified."""
 
 
-@dataclass(frozen=True)
-class DrReport:
+class DrReport(Frozen):
     """Outcome of a deletion-restriction ordering check or search.
 
     ``ordering`` is a permutation of the hypersurface indices (0-based), or
@@ -45,9 +44,13 @@ class DrReport:
     predecessors; the verdict requires step_counts[k] <= k + 1 throughout.
     """
 
-    ordering: tuple[int, ...] | None
-    step_counts: tuple[int, ...]
-    verdict: bool
+    __slots__ = ("ordering", "step_counts", "verdict")
+
+    def __init__(self, ordering: tuple[int, ...] | None, step_counts: tuple[int, ...],
+                 verdict: bool):
+        object.__setattr__(self, "ordering", ordering)
+        object.__setattr__(self, "step_counts", step_counts)
+        object.__setattr__(self, "verdict", verdict)
 
 
 _last: list = [lambda: None, None]

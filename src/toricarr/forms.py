@@ -18,26 +18,29 @@ factor R of the matrix's QR decomposition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .arrangement import ToricArrangement
+from .lattice import Frozen
 
 
 class SamplingError(ValueError):
     """The rejection sampler could not find a point off the hypersurfaces."""
 
 
-@dataclass(frozen=True)
-class FormGenerator:
+class FormGenerator(Frozen):
     """A degree-1 generator: either dlog z_i ("coord") or dlog(chi - c) ("char")."""
 
-    kind: str
-    index: int
-    chi: tuple[int, ...] | None = None
-    b: Fraction | None = None
+    __slots__ = ("kind", "index", "chi", "b")
+
+    def __init__(self, kind: str, index: int, chi: tuple[int, ...] | None = None,
+                 b: Fraction | None = None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "chi", chi)
+        object.__setattr__(self, "b", b)
 
     def name(self) -> str:
         return f"xi{self.index + 1}" if self.kind == "coord" else f"psi{self.index + 1}"
@@ -149,14 +152,13 @@ def eval_generator(gen: FormGenerator, z: np.ndarray) -> np.ndarray:
     return factor * np.array(gen.chi, dtype=complex) / z
 
 
-@dataclass
 class RelationBasis:
     """Orthonormal basis (rows) of the numerical degree-2 relation space."""
 
-    matrix: np.ndarray
-    tol: float
-    samples: int
-    singular_values: np.ndarray
+    def __init__(self, matrix: np.ndarray, tol: float, samples: int,
+                 singular_values: np.ndarray):
+        self.matrix, self.tol, self.samples = matrix, tol, samples
+        self.singular_values = singular_values
 
     @property
     def nullity(self) -> int:

@@ -9,12 +9,11 @@ independent cross-check of the Mobius sum over the toric poset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
 
 from .arrangement import ToricArrangement, mod1
-from .lattice import IntMatrix, in_row_lattice, left_kernel, rank, saturation
+from .lattice import Frozen, IntMatrix, in_row_lattice, left_kernel, rank, saturation
 from .polynomial import Polynomial
 from .poset import Component, _dot, _holds
 
@@ -28,32 +27,31 @@ def _primitive_signed(v: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(-x for x in v) if lead < 0 else v
 
 
-@dataclass(frozen=True)
-class CentralArrangement:
+class CentralArrangement(Frozen):
     """Finite set of hyperplanes through the origin of C^dim, one normal per row."""
 
-    dim: int
-    normals: IntMatrix
+    __slots__ = ("dim", "normals")
 
-    def __post_init__(self):
-        if self.normals.cols != self.dim:
+    def __init__(self, dim: int, normals: IntMatrix):
+        if normals.cols != dim:
             raise ValueError("normal length must equal the ambient dimension")
         seen = set()
-        for r in self.normals.entries:
+        for r in normals.entries:
             if not any(r):
                 raise ValueError("zero normal vector")
             key = _primitive_signed(r)
             if key in seen:
                 raise ValueError(f"duplicate hyperplane with normal {r}")
             seen.add(key)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "normals", normals)
 
     @property
     def n(self) -> int:
         return self.normals.rows
 
 
-@dataclass(frozen=True)
-class SubspaceLattice:
+class SubspaceLattice(Frozen):
     """Intersection lattice of a central arrangement.
 
     Elements are subspaces, each labeled by the saturated HNF basis of the
@@ -62,10 +60,14 @@ class SubspaceLattice:
     space.  ``mobius[k]`` is the Mobius value from the bottom to element k.
     """
 
-    dim: int
-    elements: tuple[IntMatrix, ...]
-    strict_below: frozenset[tuple[int, int]]
-    mobius: tuple[int, ...]
+    __slots__ = ("dim", "elements", "strict_below", "mobius")
+
+    def __init__(self, dim: int, elements: tuple[IntMatrix, ...],
+                 strict_below: frozenset[tuple[int, int]], mobius: tuple[int, ...]):
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "strict_below", strict_below)
+        object.__setattr__(self, "mobius", mobius)
 
     def codim(self, k: int) -> int:
         return self.elements[k].rows

@@ -19,33 +19,70 @@ augmented matrix [[a, I], [I, 0]].  The commands use :func:`hnf_add_row` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import takewhile
 from math import gcd
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class Frozen:
+    """Base of the package's immutable value classes.
+
+    A subclass names its fields in ``__slots__`` (``"__weakref__"`` aside)
+    and sets them in ``__init__`` with ``object.__setattr__``.  Instances compare
+    (same class only) and hash by their fields, print as
+    ``Name(field=value, ...)``, raise ``AttributeError`` on assignment and
+    deletion, and pickle and copy through the constructor.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(f for f in cls.__slots__ if f != "__weakref__")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), Frozen._key(self)  # every field, whatever the class compares
+
+
+class IntMatrix(Frozen):
     """Immutable integer matrix in row-major order.
 
     A matrix with zero rows (or zero columns) is legal; ``cols`` is kept
     explicitly so the empty cases stay well-typed.
     """
 
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ("rows", "cols", "entries")
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries: tuple[tuple[int, ...], ...]):
+        if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows:
+        if len(entries) != rows:
             raise ValueError("row count mismatch")
-        for r in self.entries:
-            if len(r) != self.cols:
+        for r in entries:
+            if len(r) != cols:
                 raise ValueError("column count mismatch")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "entries", entries)
 
     @staticmethod
     def from_rows(rows, cols: int | None = None) -> "IntMatrix":
@@ -88,21 +125,25 @@ class IntMatrix:
         return IntMatrix(self.rows + 1, self.cols, self.entries + (v,))
 
 
-@dataclass(frozen=True)
-class HNFResult:
+class HNFResult(Frozen):
     """Row-style Hermite normal form: U @ A == H with det(U) = +-1."""
 
-    H: IntMatrix
-    U: IntMatrix
+    __slots__ = ("H", "U")
+
+    def __init__(self, H: IntMatrix, U: IntMatrix):
+        object.__setattr__(self, "H", H)
+        object.__setattr__(self, "U", U)
 
 
-@dataclass(frozen=True)
-class SNFResult:
+class SNFResult(Frozen):
     """Smith normal form: U @ A @ V == D, diagonal with d_1 | d_2 | ... > 0."""
 
-    D: IntMatrix
-    U: IntMatrix
-    V: IntMatrix
+    __slots__ = ("D", "U", "V")
+
+    def __init__(self, D: IntMatrix, U: IntMatrix, V: IntMatrix):
+        object.__setattr__(self, "D", D)
+        object.__setattr__(self, "U", U)
+        object.__setattr__(self, "V", V)
 
     def divisors(self) -> tuple[int, ...]:
         """Nonzero diagonal entries d_1 | d_2 | ... | d_r."""

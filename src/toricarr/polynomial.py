@@ -2,17 +2,16 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .lattice import Frozen
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(Frozen):
     """Poincare polynomial: coefficients[k] is the coefficient of t^k."""
 
-    coefficients: tuple[int, ...]
+    __slots__ = ("coefficients",)
 
-    def __post_init__(self):
-        coeffs = tuple(int(c) for c in self.coefficients)
+    def __init__(self, coefficients: tuple[int, ...]):
+        coeffs = tuple(int(c) for c in coefficients)
         if any(c < 0 for c in coeffs):
             raise ValueError("Poincare polynomials have nonnegative coefficients")
         while len(coeffs) > 1 and coeffs[-1] == 0:

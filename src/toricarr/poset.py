@@ -39,13 +39,12 @@ C' ∩ K has g(C', K) > 1 components.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from operator import mul
 
 from .arrangement import LocalFrame, ToricArrangement, _keys, _reduced, mod1
-from .lattice import IntMatrix, hnf_add_row, in_row_lattice
+from .lattice import Frozen, IntMatrix, hnf_add_row, in_row_lattice
 from .lattice import snf  # noqa: F401  (toricarr.poset.snf is looked up by bench/)
 from .polynomial import Polynomial
 
@@ -54,18 +53,25 @@ def _dot(ints, fracs) -> Fraction:
     return sum((a * b for a, b in zip(ints, fracs)), Fraction(0))
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(Frozen):
     """Connected component of an intersection of toric hypersurfaces.
 
     ``sat_basis`` is the canonical HNF basis of the saturated lattice of
     characters constant on the component, ``values`` their arguments in Q/Z,
-    ``witness`` a rational point in log coordinates (z = exp(2*pi*i*u)).
+    ``witness`` a rational point in log coordinates (z = exp(2*pi*i*u)); the
+    label ``(sat_basis, values)`` alone decides equality and the hash.
     """
 
-    sat_basis: IntMatrix
-    values: tuple[Fraction, ...]
-    witness: tuple[Fraction, ...] = field(compare=False)
+    __slots__ = ("sat_basis", "values", "witness")
+
+    def __init__(self, sat_basis: IntMatrix, values: tuple[Fraction, ...],
+                 witness: tuple[Fraction, ...]):
+        object.__setattr__(self, "sat_basis", sat_basis)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "witness", witness)
+
+    def _key(self) -> tuple:
+        return self.sat_basis, self.values
 
     @property
     def codim(self) -> int:
@@ -133,8 +139,7 @@ def intersect_system(a: IntMatrix, b) -> list[Component]:
     return [comp for comp, _ in comps]
 
 
-@dataclass(frozen=True)
-class IntersectionPoset:
+class IntersectionPoset(Frozen):
     """All components of all intersections, ordered by inclusion.
 
     ``components`` is sorted by (codim, label).  ``covers`` holds the sorted
@@ -146,11 +151,15 @@ class IntersectionPoset:
     :func:`is_unimodular`, read off the same sweep.
     """
 
-    dim: int
-    components: tuple[Component, ...]
-    covers: tuple[tuple[int, int], ...]
-    mobius: tuple[int, ...]
-    unimodular: bool
+    __slots__ = ("dim", "components", "covers", "mobius", "unimodular")
+
+    def __init__(self, dim: int, components: tuple[Component, ...],
+                 covers: tuple[tuple[int, int], ...], mobius: tuple[int, ...], unimodular: bool):
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "covers", covers)
+        object.__setattr__(self, "mobius", mobius)
+        object.__setattr__(self, "unimodular", unimodular)
 
     def layer(self, codim: int) -> tuple[Component, ...]:
         return tuple(c for c in self.components if c.codim == codim)

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -101,6 +102,27 @@ def test_parse_error_codes():
     assert e.value.code == "malformed"
     with pytest.raises(ParseError):
         parse("# only a comment\n")
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="the interpreter converts integers of any length")
+@pytest.mark.parametrize("line, message", [
+    ("hyp {big} 1 @ 0/1", "exponents must be integers"),
+    ("hyp 1 0 @ 0/{big}", "bad constant"),
+    ("hyp 1 0 @ {big}/7", "bad constant"),
+])
+def test_parse_names_the_digit_limit(line, message):
+    limit = sys.get_int_max_str_digits()
+    big = "1" * (limit + 700)
+    with pytest.raises(ParseError) as e:
+        parse(f"torus 2\nhyp 0 1 @ 0/1\n{line.format(big=big)}\n")
+    assert e.value.code == "malformed" and e.value.line_no == 3
+    text = str(e.value)
+    assert f"integer of {limit + 700} digits" in text and f"limit of {limit}" in text
+    assert message not in text and big not in text
+    # a token that is no integer keeps its message, however long it is
+    with pytest.raises(ParseError, match=message):
+        parse(f"torus 2\n{line.format(big=big + 'x')}\n")
 
 
 def test_parse_comments_and_blanks():

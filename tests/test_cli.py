@@ -467,12 +467,15 @@ PUBLIC_NAMES = (
     "verify_relation", "wedge_monomials", "weyl", "whitney_poincare", "__version__",
 )
 
-# Runs the CLI and then prints, as the last line of stderr, whether numpy was imported.
+# Runs the CLI and then prints, as the last line of stderr, whether numpy and
+# dataclasses were imported and whether the lazy toricarr.hyperplane ran.  A
+# lazy module is of its own type until it runs; type() does not run it.
 CLI_CHILD = """
-import sys
+import sys, types
 import toricarr.cli
 code = toricarr.cli.main(sys.argv[1:])
-print("numpy" in sys.modules, file=sys.stderr)
+ran = type(sys.modules["toricarr.hyperplane"]) is types.ModuleType
+print("numpy" in sys.modules, "dataclasses" in sys.modules, ran, file=sys.stderr)
 sys.exit(code)
 """
 
@@ -486,10 +489,12 @@ def fresh_python(code, *args, cwd=None):
 
 
 def run_fresh(workdir, *argv):
-    """(exit code, stdout, stderr, numpy imported) of the CLI in a new interpreter."""
+    """(exit code, stdout, stderr, numpy imported, dataclasses imported,
+    hyperplane ran) of the CLI in a new interpreter."""
     done = fresh_python(CLI_CHILD, *argv, cwd=workdir)
     err, _, loaded = done.stderr.rstrip("\n").rpartition("\n")
-    return done.returncode, done.stdout, err + "\n" if err else "", loaded == "True"
+    return (done.returncode, done.stdout, err + "\n" if err else "",
+            *(flag == "True" for flag in loaded.split()))
 
 
 def test_package_keeps_public_names():
@@ -505,12 +510,14 @@ def test_package_keeps_public_names():
 
 def test_cli_import_leaves_numpy_unloaded():
     # bench/cold_child.py traces the CLI after this import: it needs forms and
-    # hyperplane registered in sys.modules; forms loads numpy on first use
-    done = fresh_python("import sys, toricarr.cli; "
-                        "print(*(m in sys.modules for m in "
-                        "('numpy', 'toricarr.forms', 'toricarr.hyperplane')))")
+    # hyperplane registered in sys.modules; they run (and forms loads numpy)
+    # on first use
+    done = fresh_python("import sys, types, toricarr.cli; "
+                        "lazy = [sys.modules['toricarr.' + m] for m in ('forms', 'hyperplane')]; "
+                        "print(*(m in sys.modules for m in ('numpy', 'dataclasses')), "
+                        "*(type(m) is types.ModuleType for m in lazy))")
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "False True True\n"
+    assert done.stdout == "False False False False\n"
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -528,11 +535,11 @@ def test_cli_import_leaves_numpy_unloaded():
 def test_fresh_cli_leaves_numpy_unloaded(workdir, capsys, argv, code):
     expected = run(capsys, *argv)
     assert expected[0] == code
-    assert run_fresh(workdir, *argv) == (*expected, False)
+    assert run_fresh(workdir, *argv) == (*expected, False, False, False)
 
 
 def test_relations_loads_numpy_with_the_same_report(workdir, capsys):
     argv = ("relations", "--seed=0", "four_lines.txt")
     expected = run(capsys, *argv)
     assert expected[0] == 0 and "nullity: 6\n" in expected[1]
-    assert run_fresh(workdir, *argv) == (*expected, True)
+    assert run_fresh(workdir, *argv) == (*expected, True, False, False)
