@@ -72,8 +72,7 @@ class Hypersurface(Frozen):
             chi, b = tuple(-x for x in chi), -b
         if not is_primitive(chi):
             raise ValueError(f"character {chi} is not primitive")
-        object.__setattr__(self, "chi", chi)
-        object.__setattr__(self, "b", mod1(b))
+        Frozen.__init__(self, chi, mod1(b))
 
 
 class ToricArrangement(Frozen):
@@ -82,18 +81,18 @@ class ToricArrangement(Frozen):
     __slots__ = ("dim", "hypersurfaces", "__weakref__")  # cohomology._top holds a weak reference
 
     def __init__(self, dim: int, hypersurfaces: tuple[Hypersurface, ...]):
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "hypersurfaces", tuple(hypersurfaces))
+        hypersurfaces = tuple(hypersurfaces)
         if dim < 0:
             raise ValueError("torus dimension must be nonnegative")
         seen = set()
-        for h in self.hypersurfaces:
+        for h in hypersurfaces:
             if len(h.chi) != dim:
                 raise ValueError(f"character {h.chi} has wrong length for dimension {dim}")
             key = (h.chi, h.b)
             if key in seen:
                 raise ValueError(f"duplicate hypersurface {h.chi} @ {h.b}")
             seen.add(key)
+        Frozen.__init__(self, dim, hypersurfaces)
 
     @property
     def n(self) -> int:

@@ -23,6 +23,7 @@ from .arrangement import ToricArrangement, parse, serialize, weyl
 from .cohomology import (
     DrHypothesisError,
     dcp_poincare,
+    dr_condition_check,
     dr_poincare,
     find_dr_ordering,
 )
@@ -178,7 +179,9 @@ def cmd_relations(args) -> int:
     monos = forms.wedge_monomials(arr.dim, arr.n)
     gens = forms.generators(arr)
     basis = forms.degree2_relations(arr, samples=args.samples, tol=args.tol, seed=args.seed)
-    h2 = dcp_poincare(arr).coefficient(2)
+    # h2 = C(l, 2) + n(l - 1) + sum over codim 2 of |mu| = m - 1 = the steps that count it
+    l, n = arr.dim, arr.n
+    h2 = l * (l - 1) // 2 + n * (l - 1) + sum(dr_condition_check(arr, range(n)).step_counts)
     _header("relations", args.file, digest)
     _emit("samples", basis.samples)
     _emit("tol", args.tol)

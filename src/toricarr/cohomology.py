@@ -22,6 +22,7 @@ keys, recurses along the ordering its own search found, memoized on
 
 from __future__ import annotations
 
+from math import comb
 from weakref import ref
 
 from .arrangement import ToricArrangement, _keys, _traces, _union
@@ -45,12 +46,6 @@ class DrReport(Frozen):
     """
 
     __slots__ = ("ordering", "step_counts", "verdict")
-
-    def __init__(self, ordering: tuple[int, ...] | None, step_counts: tuple[int, ...],
-                 verdict: bool):
-        object.__setattr__(self, "ordering", ordering)
-        object.__setattr__(self, "step_counts", step_counts)
-        object.__setattr__(self, "verdict", verdict)
 
 
 _last: list = [lambda: None, None]
@@ -169,7 +164,7 @@ def dr_poincare(arr: ToricArrangement, ordering) -> Polynomial:
     memo: dict[tuple, Polynomial] = {}
 
     def recurse(dim: int, keys, table: dict, ordering: tuple[int, ...]) -> Polynomial:
-        total = Polynomial.binomial(dim)
+        total = [comb(dim, j) for j in range(dim + 1)]  # (1+t)^dim; t * poly has degree <= dim
         for pos, idx in enumerate(ordering):
             # the first hypersurface has no predecessors: no traces needed
             sub = (dim - 1, _union(_entry(keys, table, idx)[0], ordering[:pos]) if pos else ())
@@ -181,7 +176,8 @@ def dr_poincare(arr: ToricArrangement, ordering) -> Polynomial:
                     raise DrHypothesisError(f"restriction to hypersurface {idx + 1} admits no "
                                             "deletion-restriction ordering")
                 poly = memo[sub] = recurse(*sub, sub_table, sub_ordering)
-            total = total + poly.shift(1)
-        return total
+            for j, c in enumerate(poly.coefficients, start=1):
+                total[j] += c
+        return Polynomial(tuple(total))
 
     return recurse(arr.dim, keys, table, report.ordering)

@@ -37,10 +37,7 @@ class FormGenerator(Frozen):
 
     def __init__(self, kind: str, index: int, chi: tuple[int, ...] | None = None,
                  b: Fraction | None = None):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "chi", chi)
-        object.__setattr__(self, "b", b)
+        Frozen.__init__(self, kind, index, chi, b)
 
     def name(self) -> str:
         return f"xi{self.index + 1}" if self.kind == "coord" else f"psi{self.index + 1}"

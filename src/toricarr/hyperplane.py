@@ -43,8 +43,7 @@ class CentralArrangement(Frozen):
             if key in seen:
                 raise ValueError(f"duplicate hyperplane with normal {r}")
             seen.add(key)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "normals", normals)
+        Frozen.__init__(self, dim, normals)
 
     @property
     def n(self) -> int:
@@ -61,13 +60,6 @@ class SubspaceLattice(Frozen):
     """
 
     __slots__ = ("dim", "elements", "strict_below", "mobius")
-
-    def __init__(self, dim: int, elements: tuple[IntMatrix, ...],
-                 strict_below: frozenset[tuple[int, int]], mobius: tuple[int, ...]):
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "strict_below", strict_below)
-        object.__setattr__(self, "mobius", mobius)
 
     def codim(self, k: int) -> int:
         return self.elements[k].rows

@@ -3,9 +3,10 @@ saturation, primitivity.
 
 Everything here runs on Python's arbitrary-precision integers.  Matrices are
 immutable (hashable) so they can serve as canonical labels elsewhere in the
-package.  The Hermite normal form convention is row-style with positive
-pivots and entries above each pivot reduced into [0, pivot); this makes
-``hnf(A).H`` a unique canonical form of the row lattice of ``A``.
+package; like every value class of the package they derive from
+:class:`Frozen`.  The Hermite normal form convention is row-style with
+positive pivots and entries above each pivot reduced into [0, pivot); this
+makes ``hnf(A).H`` a unique canonical form of the row lattice of ``A``.
 
 One routine does Hermite elimination: :func:`hnf_add_row` merges one row
 into a canonical basis.  ``row_basis``, ``hnf``, ``rank``, ``left_kernel``
@@ -28,17 +29,30 @@ from math import gcd
 class Frozen:
     """Base of the package's immutable value classes.
 
-    A subclass names its fields in ``__slots__`` (``"__weakref__"`` aside)
-    and sets them in ``__init__`` with ``object.__setattr__``.  Instances compare
-    (same class only) and hash by their fields, print as
-    ``Name(field=value, ...)``, raise ``AttributeError`` on assignment and
-    deletion, and pickle and copy through the constructor.
+    A subclass names its fields once, in ``__slots__`` (``"__weakref__"``
+    aside), and :meth:`__init__` stores them by position or by name; a
+    subclass that checks or normalises its input ends its own ``__init__``
+    in a call to it.  Instances compare (same class only) and hash by their
+    fields, print as ``Name(field=value, ...)``, raise ``AttributeError`` on
+    assignment and deletion, and pickle and copy through the constructor.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls):
         cls._fields = tuple(f for f in cls.__slots__ if f != "__weakref__")
+        cls._setters = tuple(vars(cls)[f].__set__ for f in cls._fields)  # skip __setattr__
+
+    def __init__(self, *values, **named):
+        """Store the fields by position, in ``__slots__`` order, or by name."""
+        fields = self._fields
+        if named:
+            values += tuple(named.pop(f) for f in fields[len(values):] if f in named)
+        if named or len(values) != len(fields):
+            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(fields)}, "
+                            "by position or by name")
+        for store, value in zip(self._setters, values):
+            store(self, value)
 
     def _key(self) -> tuple:
         return tuple(getattr(self, f) for f in self._fields)
@@ -80,9 +94,7 @@ class IntMatrix(Frozen):
         for r in entries:
             if len(r) != cols:
                 raise ValueError("column count mismatch")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
+        Frozen.__init__(self, rows, cols, entries)
 
     @staticmethod
     def from_rows(rows, cols: int | None = None) -> "IntMatrix":
@@ -130,20 +142,11 @@ class HNFResult(Frozen):
 
     __slots__ = ("H", "U")
 
-    def __init__(self, H: IntMatrix, U: IntMatrix):
-        object.__setattr__(self, "H", H)
-        object.__setattr__(self, "U", U)
-
 
 class SNFResult(Frozen):
     """Smith normal form: U @ A @ V == D, diagonal with d_1 | d_2 | ... > 0."""
 
     __slots__ = ("D", "U", "V")
-
-    def __init__(self, D: IntMatrix, U: IntMatrix, V: IntMatrix):
-        object.__setattr__(self, "D", D)
-        object.__setattr__(self, "U", U)
-        object.__setattr__(self, "V", V)
 
     def divisors(self) -> tuple[int, ...]:
         """Nonzero diagonal entries d_1 | d_2 | ... | d_r."""

@@ -18,11 +18,7 @@ class Polynomial(Frozen):
             coeffs = coeffs[:-1]
         if not coeffs:
             coeffs = (0,)
-        object.__setattr__(self, "coefficients", coeffs)
-
-    @staticmethod
-    def zero() -> "Polynomial":
-        return Polynomial((0,))
+        Frozen.__init__(self, coeffs)
 
     @staticmethod
     def binomial(k: int) -> "Polynomial":

@@ -40,7 +40,7 @@ C' ∩ K has g(C', K) > 1 components.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 from operator import mul
 
 from .arrangement import LocalFrame, ToricArrangement, _keys, _reduced, mod1
@@ -63,12 +63,6 @@ class Component(Frozen):
     """
 
     __slots__ = ("sat_basis", "values", "witness")
-
-    def __init__(self, sat_basis: IntMatrix, values: tuple[Fraction, ...],
-                 witness: tuple[Fraction, ...]):
-        object.__setattr__(self, "sat_basis", sat_basis)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "witness", witness)
 
     def _key(self) -> tuple:
         return self.sat_basis, self.values
@@ -153,14 +147,6 @@ class IntersectionPoset(Frozen):
 
     __slots__ = ("dim", "components", "covers", "mobius", "unimodular")
 
-    def __init__(self, dim: int, components: tuple[Component, ...],
-                 covers: tuple[tuple[int, int], ...], mobius: tuple[int, ...], unimodular: bool):
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "components", components)
-        object.__setattr__(self, "covers", covers)
-        object.__setattr__(self, "mobius", mobius)
-        object.__setattr__(self, "unimodular", unimodular)
-
     def layer(self, codim: int) -> tuple[Component, ...]:
         return tuple(c for c in self.components if c.codim == codim)
 
@@ -173,11 +159,12 @@ class IntersectionPoset(Frozen):
 
     def poincare(self) -> Polynomial:
         """Poincare polynomial of the complement: the sum over components W
-        of |mu(T, W)| * t^codim(W) * (1 + t)^dim(W)."""
-        total = Polynomial.zero()
+        of |mu(T, W)| * t^codim(W) * (1 + t)^dim(W), added into one list."""
+        coeffs = [0] * (self.dim + 1)
         for mu, comp in zip(self.mobius, self.components):
-            total = total + (abs(mu) * Polynomial.binomial(comp.dim)).shift(comp.codim)
-        return total
+            for j in range(comp.dim + 1):
+                coeffs[comp.codim + j] += abs(mu) * comb(comp.dim, j)
+        return Polynomial(tuple(coeffs))
 
 
 def _sweep(arr: ToricArrangement, found: list[Component], parents: list[set[int]]):

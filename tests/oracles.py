@@ -136,7 +136,7 @@ def whitney_poincare(arr):
             chi[len(d)] += (-1) ** size * prod(d)
     # (-t)^l chi(-(1+t)/t) = sum_c chi[c] (-t)^l (-(1+t)/t)^(l-c)
     #                      = sum_c chi[c] (-1)^c t^c (1+t)^(l-c)
-    total = Polynomial.zero()
+    total = Polynomial((0,))
     for c, coeff in enumerate(chi):
         total = total + ((-1) ** c * coeff * Polynomial.binomial(arr.dim - c)).shift(c)
     return total
@@ -146,7 +146,7 @@ def local_lattice_poincare(arr):
     """Poincare polynomial from a fresh local lattice at every component:
     each poset component W contributes the top Betti number of the local
     central arrangement at W times t^codim(W) * (1 + t)^dim(W)."""
-    total = Polynomial.zero()
+    total = Polynomial((0,))
     for comp in build_poset(arr).components:
         mult = top_local_multiplicity(arr, comp)
         total = total + (mult * Polynomial.binomial(comp.dim)).shift(comp.codim)

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import toricarr
-from toricarr.arrangement import MAX_TRACE_PIECES, parse
+from toricarr.arrangement import MAX_TRACE_PIECES, parse, serialize, weyl
 from toricarr.cli import main
 
 FOUR_LINES = ("torus 2\nhyp 1 0 @ 0/1\nhyp 0 1 @ 0/1\n"
@@ -367,6 +367,19 @@ def test_relations_large_exponent_consistent(workdir, capsys):
     code, out, _ = run(capsys, "relations", "large.txt")
     assert code == 0
     assert out.endswith("nullity: 2\nexpected_h2: 4\nconsistent: true\n")
+
+
+def test_relations_builds_no_poset(workdir, capsys, monkeypatch):
+    # expected_h2 comes from the step counts of the identity ordering
+    def fail(arr):
+        raise AssertionError("relations built the intersection poset")
+
+    monkeypatch.setattr("toricarr.cli.build_poset", fail)
+    monkeypatch.setattr("toricarr.cohomology.build_poset", fail)
+    (workdir / "b3.txt").write_text(serialize(weyl("B", 3)))
+    code, out, _ = run(capsys, "relations", "b3.txt")
+    assert code == 0
+    assert out.endswith("expected_h2: 47\nconsistent: true\n")
 
 
 @pytest.mark.parametrize("flag", ["--samples=1", "--tol=-1", "--tol=0",

@@ -91,6 +91,30 @@ def test_pickle_and_copies_round_trip(cls, value):
         assert [getattr(twin, f) for f in cls._fields] == [getattr(value, f) for f in cls._fields]
 
 
+@pytest.mark.parametrize("cls, value", VALUES, ids=IDS)
+def test_constructor_takes_the_fields_by_position_or_name(cls, value):
+    fields = {f: getattr(value, f) for f in cls._fields}
+    for twin in (cls(*fields.values()), cls(**fields)):
+        assert type(twin) is cls and twin == value
+        assert [getattr(twin, f) for f in cls._fields] == list(fields.values())
+    for args, named in [((), {f: fields[f] for f in cls._fields[1:]}),  # missing
+                        ((*fields.values(), None), {}),                     # extra
+                        ((), {**fields, "no_such_field": 1})]:              # unknown
+        with pytest.raises(TypeError):
+            cls(*args, **named)
+
+
+def test_records_take_trailing_fields_by_name():
+    h = hnf(M)
+    assert HNFResult(h.H, U=h.U) == h
+    with pytest.raises(TypeError):
+        HNFResult(h.H, H=h.H)  # given twice, U missing
+    with pytest.raises(TypeError):
+        HNFResult(h.H, h.U, U=h.U)
+    with pytest.raises(TypeError):
+        SNFResult(D=h.H, V=h.U)
+
+
 # Pinned: these are the texts the classes printed as frozen dataclasses.
 REPRS = [
     (weyl("B", 2).hypersurfaces[0], "Hypersurface(chi=(1, 0), b=Fraction(0, 1))"),
