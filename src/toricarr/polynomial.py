@@ -20,24 +20,12 @@ class Polynomial(Frozen):
             coeffs = (0,)
         Frozen.__init__(self, coeffs)
 
-    @staticmethod
-    def binomial(k: int) -> "Polynomial":
-        """(1 + t)^k."""
-        from math import comb
-        return Polynomial(tuple(comb(k, j) for j in range(k + 1)))
-
     @property
     def degree(self) -> int:
         return len(self.coefficients) - 1
 
     def coefficient(self, k: int) -> int:
         return self.coefficients[k] if 0 <= k < len(self.coefficients) else 0
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coefficients, other.coefficients
-        if len(a) < len(b):
-            a, b = b, a
-        return Polynomial(tuple(x + (b[i] if i < len(b) else 0) for i, x in enumerate(a)))
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -49,12 +37,6 @@ class Polynomial(Frozen):
         return Polynomial(tuple(out))
 
     __rmul__ = __mul__
-
-    def shift(self, k: int) -> "Polynomial":
-        """Multiply by t^k."""
-        if self.coefficients == (0,):
-            return self
-        return Polynomial((0,) * k + self.coefficients)
 
     def __str__(self) -> str:
         terms = []

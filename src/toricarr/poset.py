@@ -20,12 +20,15 @@ The poset needs no system solved: the layered sweep of :func:`build_poset`
 takes the step for each component and each hypersurface that is not
 constant on its parent, and records each piece as a child of the component
 it was cut from; no pair of components is compared for containment.  Those
-edges are the covers of the poset; a walk up them from a component reaches
-its ancestors, whose Mobius values give its own, so the poset stores the
-covers alone and never builds its set of comparable pairs.  A child is
-keyed on the set of hypersurfaces containing it, with its values only when
-that set's intersection may be disconnected, and the label of each set is
-computed once (see :func:`_sweep`).
+edges are the covers of the poset, which stores them alone and never its
+set of comparable pairs.  A child is keyed on the set X(W) of hypersurfaces
+containing it, with its values only when that set's intersection may be
+disconnected, and the label of each set is computed once (see
+:func:`_sweep`).  The covers and those sets give mu by Weisner's theorem
+(Weisner 1935; Stanley, EC1 3.9): [T, W] is the lattice of flats of the
+local central arrangement at W, so it is geometric; with K the lowest
+hypersurface containing W, mu(T, W) is minus the sum of mu(T, p) over W's
+cover parents p with p v K = W, i.e. with K not in X(p).
 
 The same sweep decides unimodularity (every subset intersection empty or
 connected): the arrangement is unimodular iff no hypersurface K splits a
@@ -167,9 +170,10 @@ class IntersectionPoset(Frozen):
         return Polynomial(tuple(coeffs))
 
 
-def _sweep(arr: ToricArrangement, found: list[Component], parents: list[set[int]]):
+def _sweep(arr: ToricArrangement, found: list[Component], parents: list[set[int]],
+           masks: list[int]):
     """Expand every component of ``arr`` layer by layer, from the full torus
-    ``found == [full_torus(arr.dim)]``.
+    ``found == [full_torus(arr.dim)]``, ``parents == [set()]``, ``masks == [0]``.
 
     Each component C is expanded in the frame carried from its first parent
     (:meth:`~toricarr.arrangement.LocalFrame.child`), by the hypersurfaces
@@ -189,15 +193,16 @@ def _sweep(arr: ToricArrangement, found: list[Component], parents: list[set[int]
     is one lookup; any other piece gets its frame and point from one
     :meth:`~toricarr.arrangement.LocalFrame.child` call.  A new W (a first
     seen set always names one) is appended to ``found`` as a ``Component``,
-    with an empty set in ``parents``; C's index is added to W's parents.
+    with an empty set in ``parents`` and X(W) in ``masks``; C is added to
+    W's parents.
     """
     hyps = _keys(arr)
-    frames = [(LocalFrame.torus(arr.dim), 0, range(len(hyps)), True)]
+    frames = [(LocalFrame.torus(arr.dim), range(len(hyps)), True)]
     frontier = [0]
     while frontier:
         nxt, index, sets = [], {}, {}   # every child lies in the next layer
         for p in frontier:
-            comp, (frame, mask, live, connected) = found[p], frames[p]
+            comp, mask, (frame, live, connected) = found[p], masks[p], frames[p]
             frames[p] = None
             if comp.dim == 0:
                 yield False
@@ -232,7 +237,8 @@ def _sweep(arr: ToricArrangement, found: list[Component], parents: list[set[int]
                         k = index[key] = len(found)
                         found.append(_component(basis, values, *child.point))
                         parents.append(set())
-                        frames.append((child, within, live, alone))
+                        masks.append(within)
+                        frames.append((child, live, alone))
                         nxt.append(k)
                 parents[k].add(p)
         frontier = nxt
@@ -243,35 +249,29 @@ def build_poset(arr: ToricArrangement) -> IntersectionPoset:
 
     Works layer by layer (:func:`_sweep`): each known component C is
     intersected with each hypersurface K in the frame of C, and each
-    component of C ∩ K, read off the frame, is deduplicated by the set of
-    hypersurfaces containing it, and its values when that set's intersection
-    may be disconnected.  This reaches every component of every subset
-    intersection (the exhaustive subset sweep is kept in the test suite as
-    an oracle).  K adds nothing when it contains C or misses it, nor then on
-    C's children.  Each witness is the point the frame gives on the first
-    sight of its component.  Each component W of C ∩ K is recorded as a
-    child of C, on the canonical instance of W, and has codim(C) + 1.  When
-    W ⊊ C, some K contains W but not C, and W lies in a component of C ∩ K;
-    so every strict containment is a chain of such edges, and the edges are
-    exactly the covers.  mu(T, W) is minus the sum of mu over W's strict
-    ancestors, which a walk up W's cover parents visits once each.  The
-    sweep runs by codimension, so each parent is found, and its mu known,
-    before its children; no ancestor set outlives its component's walk.
+    component of C ∩ K is read off the frame and deduplicated by its key.
+    This reaches every component of every subset intersection (the
+    exhaustive subset sweep is kept in the test suite as an oracle).  K adds
+    nothing when it contains C or misses it, nor then on C's children.  Each
+    witness is the point the frame gives on the first sight of its
+    component.  Each component W of C ∩ K is recorded as a child of C, on
+    the canonical instance of W, and has codim(C) + 1.  When W ⊊ C, some K
+    contains W but not C, and W lies in a component of C ∩ K; so every
+    strict containment is a chain of such edges, and the edges are exactly
+    the covers.  [T, W] is geometric, so by Weisner's theorem (see the
+    module docstring) mu(T, W) is minus the sum of mu over W's parents p
+    with K not in X(p), K the lowest hypersurface containing W: a coatom p
+    has p v K = W iff K is not in X(p).
 
     The sweep expands every component, so it also gives the unimodularity
     verdict (see the module docstring): no hypersurface splits a component.
     """
-    found = [full_torus(arr.dim)]
-    parents: list[set[int]] = [set()]
-    splits = list(_sweep(arr, found, parents))
+    found, parents, masks = [full_torus(arr.dim)], [set()], [0]
+    splits = list(_sweep(arr, found, parents, masks))
     mobius = [1]
     for k in range(1, len(found)):
-        seen, stack = set(), [k]
-        while stack:
-            new = parents[stack.pop()] - seen
-            seen |= new
-            stack.extend(new)
-        mobius.append(-sum(mobius[p] for p in seen))
+        low = masks[k] & -masks[k]
+        mobius.append(-sum(mobius[p] for p in parents[k] if not masks[p] & low))
     order = sorted(range(len(found)),
                    key=lambda k: (found[k].codim, found[k].sat_basis.entries, found[k].values))
     pos = {k: i for i, k in enumerate(order)}
@@ -283,7 +283,5 @@ def build_poset(arr: ToricArrangement) -> IntersectionPoset:
 def is_unimodular(arr: ToricArrangement) -> bool:
     """True iff every subset intersection is empty or connected, i.e. iff
     no hypersurface splits a component of the poset (see the module
-    docstring).  The sweep of :func:`build_poset` is run until the first
-    split.
-    """
-    return not any(_sweep(arr, [full_torus(arr.dim)], [set()]))
+    docstring): the sweep of :func:`build_poset`, run to the first split."""
+    return not any(_sweep(arr, [full_torus(arr.dim)], [set()], [0]))

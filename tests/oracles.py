@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, product, zip_longest
 from math import comb, factorial, gcd, lcm, prod
 from operator import mul
 
@@ -40,6 +40,22 @@ from toricarr.poset import (
     build_poset,
     full_torus,
 )
+
+
+def poly_add(p, q):
+    """p + q."""
+    return Polynomial(tuple(map(sum, zip_longest(p.coefficients, q.coefficients, fillvalue=0))))
+
+
+def poly_shift(p, k):
+    """t^k * p."""
+    return Polynomial((0,) * k + p.coefficients)
+
+
+def binomial(k):
+    """(1 + t)^k."""
+    return Polynomial(tuple(comb(k, j) for j in range(k + 1)))
+
 
 FOUR_LINES_TEXT = ("torus 2\nhyp 1 0 @ 0/1\nhyp 0 1 @ 0/1\n"
                    "hyp 1 1 @ 0/1\nhyp 1 -1 @ 0/1\n")
@@ -138,7 +154,7 @@ def whitney_poincare(arr):
     #                      = sum_c chi[c] (-1)^c t^c (1+t)^(l-c)
     total = Polynomial((0,))
     for c, coeff in enumerate(chi):
-        total = total + ((-1) ** c * coeff * Polynomial.binomial(arr.dim - c)).shift(c)
+        total = poly_add(total, poly_shift((-1) ** c * coeff * binomial(arr.dim - c), c))
     return total
 
 
@@ -149,7 +165,7 @@ def local_lattice_poincare(arr):
     total = Polynomial((0,))
     for comp in build_poset(arr).components:
         mult = top_local_multiplicity(arr, comp)
-        total = total + (mult * Polynomial.binomial(comp.dim)).shift(comp.codim)
+        total = poly_add(total, poly_shift(mult * binomial(comp.dim), comp.codim))
     return total
 
 
@@ -332,7 +348,7 @@ def dr_poincare_reference(arr, ordering):
             f"ordering {tuple(x + 1 for x in ordering)} cuts "
             f"{counts[bad]} components at step {bad + 2}; "
             "the deletion-restriction recursion does not apply")
-    total = Polynomial.binomial(arr.dim)
+    total = binomial(arr.dim)
     for pos, idx in enumerate(ordering):
         sub = _restriction_reference(arr, idx, ordering[:pos])
         sub_report = find_dr_ordering_reference(sub)
@@ -340,7 +356,7 @@ def dr_poincare_reference(arr, ordering):
             raise DrHypothesisError(
                 f"restriction to hypersurface {idx + 1} admits no "
                 "deletion-restriction ordering")
-        total = total + dr_poincare_reference(sub, sub_report.ordering).shift(1)
+        total = poly_add(total, poly_shift(dr_poincare_reference(sub, sub_report.ordering), 1))
     return total
 
 
@@ -606,6 +622,23 @@ def poset_reference(arr):
     for i in range(len(comps)):
         mobius.append(-sum(mobius[j] for j in range(i) if (i, j) in below) if i else 1)
     return IntersectionPoset(arr.dim, comps, covers, tuple(mobius), unimodular_by_subsets(arr))
+
+
+def mobius_by_ancestors(poset):
+    """mu(T, W) as minus the sum of mu over all of W's strict ancestors,
+    which a walk up ``poset.covers`` from W visits once each."""
+    parents = [set() for _ in poset.components]
+    for i, j in poset.covers:
+        parents[i].add(j)
+    mobius = [1]
+    for k in range(1, len(parents)):
+        seen, stack = set(), [k]
+        while stack:
+            new = parents[stack.pop()] - seen
+            seen |= new
+            stack.extend(new)
+        mobius.append(-sum(mobius[p] for p in seen))
+    return tuple(mobius)
 
 
 def unimodular_by_definition(arr):

@@ -31,6 +31,8 @@ from oracles import (
     coeff_vector,
     four_lines,
     grid_component_count,
+    poly_add,
+    poly_shift,
     random_central_rows,
     random_unimodular_arrangement,
     two_curves,
@@ -128,7 +130,8 @@ def test_criterion_5_hyperplane_cross_validation(capsys):
         if nbc_dimensions(arr) != poin.coefficients:
             failures.append((checked, "nbc mismatch"))
         k = rng.randrange(arr.n)
-        if poin != whitney_poincare(delete(arr, k)) + whitney_poincare(restriction(arr, k)).shift(1):
+        if poin != poly_add(whitney_poincare(delete(arr, k)),
+                            poly_shift(whitney_poincare(restriction(arr, k)), 1)):
             failures.append((checked, "deletion-restriction identity"))
     elapsed = time.monotonic() - start
     ok = not failures and elapsed < 30.0
@@ -216,7 +219,7 @@ def test_criterion_8_weyl_braid_sanity(capsys):
     closed_b = Polynomial((1, 1)) * Polynomial((1, 2)) * Polynomial((1, 3))
     closed_a = Polynomial((1, 2)) * Polynomial((1, 3))
     layers_ok = layers_b == layers_a
-    central_ok = poly_b == Polynomial.binomial(1) * poly_a
+    central_ok = poly_b == Polynomial((1, 1)) * poly_a
     closed_ok = poly_b == closed_b and poly_a == closed_a
     ok = layers_ok and central_ok and closed_ok and elapsed < 5.0
     detail = (f"layer sizes {'agree' if layers_ok else 'differ'}; "

@@ -21,6 +21,7 @@ from oracles import (
     intersect_system_reference,
     is_unimodular_matrix,
     local_lattice_poincare,
+    mobius_by_ancestors,
     poset_reference,
     random_arrangement,
     random_unimodular_arrangement,
@@ -336,6 +337,7 @@ def e6():
 def test_poset_f4():
     poset = build_poset(f4())
     assert len(poset.components) == 441
+    assert poset.mobius == mobius_by_ancestors(poset)
     assert poset.layer_sizes() == (1, 24, 140, 204, 72)
     poincare = poset.poincare()
     assert poincare.coefficients == (1, 28, 286, 1260, 2153)
@@ -349,6 +351,7 @@ def test_poset_e6():
     a component lies in the hypersurfaces of codim 1 above it)."""
     poset = build_poset(e6())
     assert len(poset.components) == 5119
+    assert poset.mobius == mobius_by_ancestors(poset)
     assert poset.layer_sizes() == (1, 36, 390, 1530, 2136, 909, 117)
     poincare = poset.poincare()
     assert poincare.coefficients == (1, 42, 705, 6020, 27459, 63378, 58555)
@@ -361,7 +364,9 @@ def test_poset_e6():
 
 @pytest.mark.parametrize("make", [f4, lambda: weyl("B", 5)], ids=["F4", "B5"])
 def test_mobius_alternates(make):
-    _assert_mobius_alternates(build_poset(make()))
+    poset = build_poset(make())
+    _assert_mobius_alternates(poset)
+    assert poset.mobius == mobius_by_ancestors(poset)
 
 
 # -- Poincare polynomial ------------------------------------------------------------
@@ -480,8 +485,8 @@ def test_is_unimodular_stops_at_first_split(monkeypatch):
     expanded = []
     sweep = poset_module._sweep
 
-    def counted(arr, found, parents):
-        for split in sweep(arr, found, parents):
+    def counted(arr, found, *rest):
+        for split in sweep(arr, found, *rest):
             expanded.append(found[len(expanded)].dim)
             yield split
 
