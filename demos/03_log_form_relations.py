@@ -27,6 +27,9 @@ print("expected: #monomials - dim H^2 =", len(monos), "-",
       dcp_poincare(arr).coefficient(2), "=",
       len(monos) - dcp_poincare(arr).coefficient(2))
 
+# The first discarded singular value is at noise level, so the printed gap's
+# digits can change with the order of floating-point work (the QR fold's
+# block size, the BLAS build); the relation count above does not.
 print("singular value gap (last kept / first discarded): {:.2e}".format(basis.gap))
 print()
 

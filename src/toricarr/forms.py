@@ -9,11 +9,15 @@ numerical null space therefore recovers the degree-2 relation space.
 
 All sample points come from one generator: every round draws the points
 still open as one array, and only the rows that fail the draw test are drawn
-again.  The evaluation matrix is then filled in place, in one pass over
-chunks of samples of bounded size: each chunk's covectors are computed from
-the points and their character values, and its wedge products written
-straight into the matrix.  The null space comes from the SVD of the square
-factor R of the matrix's QR decomposition.
+again.  The wedge monomials at those points are never held as one matrix.
+They are evaluated in blocks of whole samples, about ``_FOLD`` times as many
+rows as there are monomials, into one reused buffer: each chunk of samples
+of bounded size has its covectors computed from the points and their
+character values, and its wedge products written straight into the block.
+The null space comes from the SVD of the square factor R of the QR
+decomposition of all the blocks stacked, which is folded in block by block
+(a sequential tall-skinny QR): R is refactored together with each new block,
+so memory is O(N^2) in the number N of monomials, whatever the sample count.
 """
 
 from __future__ import annotations
@@ -69,8 +73,12 @@ def _constant(b: Fraction) -> complex:
 
 
 _TINY = np.finfo(float).tiny
-# Size in bytes of the temporaries of one chunk of samples in _evaluation_matrix.
+# Size in bytes of the temporaries of one chunk of samples in _wedge_blocks,
+# and the least size of one of its blocks.
 _CHUNK_BYTES = 1 << 20
+# Rows of one block of _wedge_blocks, as a multiple of the monomial count N:
+# each QR fold in degree2_relations refactors R's N rows with one block.
+_FOLD = 4
 
 
 def sample_point(arr: ToricArrangement, seed) -> np.ndarray:
@@ -171,34 +179,51 @@ class RelationBasis:
         return float(self.singular_values[kept - 1] / self.singular_values[kept])
 
 
-def _evaluation_matrix(arr: ToricArrangement, samples: int, seed) -> np.ndarray:
-    """The wedge monomials at the points _points(arr, samples, seed).
+def _wedge_blocks(arr: ToricArrangement, samples: int, seed):
+    """The wedge monomials at the points _points(arr, samples, seed), in
+    blocks of whole samples.
 
-    Rows k C(l,2) .. (k+1) C(l,2) - 1 are sample k's components of Lambda^2,
-    pairs p < q in lex order; columns are the monomials in the order of
-    :func:`wedge_monomials`.
+    Yields views ``rows`` of one reused buffer of N + K rows and N columns,
+    N = C(l+n, 2).  The block is ``rows[N:]``: sample k's components of
+    Lambda^2 in consecutive rows, pairs p < q in lex order, and columns the
+    monomials in the order of :func:`wedge_monomials`.  The N rows above it
+    are the caller's, kept from one block to the next.  K is about _FOLD N
+    rows, or _CHUNK_BYTES of them if that is more, rounded up to whole
+    samples and capped at all samples' rows; the last block may be shorter.
+    Nothing is yielded for l <= 1, where Lambda^2 is zero, but the points
+    are still drawn.
     """
     l, g = arr.dim, arr.dim + arr.n
     a, b = np.triu_indices(g, 1)
     pairs = tuple(zip(*np.triu_indices(l, 1)))
     exps, consts = _characters(arr)
     z, w = _points(arr, samples, seed)
-    mat = np.empty((samples * len(pairs), len(a)), dtype=complex)
-    blocks = mat.reshape(samples, len(pairs), len(a))
+    if not pairs:
+        return
+    top = len(a)
+    # At least _CHUNK_BYTES of rows: below that size the QR calls' fixed cost
+    # outweighs the memory a smaller block saves.
+    fold_rows = max(_FOLD * top, _CHUNK_BYTES // (16 * top))
+    per_block = min(samples, -(-fold_rows // len(pairs)))
+    buf = np.empty((top + per_block * len(pairs), top), dtype=complex)
+    blocks = buf[top:].reshape(per_block, len(pairs), top)
     coords = np.arange(l)
-    sample_bytes = 16 * (arr.n * (l + 4) + l * g + 5 * len(a))
-    step = max(1, _CHUNK_BYTES // max(1, sample_bytes))
-    for chunk in (slice(start, start + step) for start in range(0, samples, step)):
-        zc, wc = z[chunk].T, w[chunk]
-        # cov[p, s, i]: slot p of generator i's covector at the chunk's sample s
-        # (see eval_generator).
-        cov = np.zeros((l, len(wc), g), dtype=complex)
-        cov[coords, :, coords] = 1.0 / zc
-        cov[:, :, l:] = wc / (wc - consts) * exps.T[:, None, :] / zc[:, :, None]
-        for r, (p, q) in enumerate(pairs):
-            np.subtract(cov[p][:, a] * cov[q][:, b], cov[q][:, a] * cov[p][:, b],
-                        out=blocks[chunk, r])
-    return mat
+    sample_bytes = 16 * (arr.n * (l + 4) + l * g + 5 * top)
+    step = max(1, _CHUNK_BYTES // sample_bytes)
+    for start in range(0, samples, per_block):
+        stop = min(start + per_block, samples)
+        for lo in range(start, stop, step):
+            hi = min(lo + step, stop)
+            zc, wc = z[lo:hi].T, w[lo:hi]
+            # cov[p, s, i]: slot p of generator i's covector at the chunk's
+            # sample s (see eval_generator).
+            cov = np.zeros((l, hi - lo, g), dtype=complex)
+            cov[coords, :, coords] = 1.0 / zc
+            cov[:, :, l:] = wc / (wc - consts) * exps.T[:, None, :] / zc[:, :, None]
+            for r, (p, q) in enumerate(pairs):
+                np.subtract(cov[p][:, a] * cov[q][:, b], cov[q][:, a] * cov[p][:, b],
+                            out=blocks[lo - start:hi - start, r])
+        yield buf[:top + (stop - start) * len(pairs)]
 
 
 def _checked_samples(n_monos: int, samples: int | None, tol: float) -> int:
@@ -218,24 +243,31 @@ def degree2_relations(arr: ToricArrangement, samples: int | None = None,
                       tol: float = 1e-8, seed: int = 0) -> RelationBasis:
     """Null space of the wedge-monomial evaluation matrix.
 
-    Builds the (samples * C(l,2)) x C(l+n,2) matrix of all degree-2 wedge
-    monomials evaluated at sampled points of the complement and returns the
-    right singular vectors below the relative singular-value threshold
+    The matrix is the (samples * C(l,2)) x C(l+n,2) stack of all degree-2
+    wedge monomials evaluated at sampled points of the complement; returns
+    the right singular vectors below the relative singular-value threshold
     ``tol * s_max``; raises ValueError unless 0 < tol < 1.
 
-    For l >= 2 the matrix is tall (samples >= 3 C(l+n,2) and C(l,2) >= 1), so
-    the factor R of its QR decomposition is square, with the same singular
-    values and right singular vectors; for l <= 1 it has no rows and every
+    The matrix is never formed.  Its factor R, which has the matrix's
+    singular values and right singular vectors, is folded in block by block
+    of :func:`_wedge_blocks`: R is stacked above each new block, in the rows
+    the buffer leaves free, and the pair is refactored by QR.  For l >= 2 the
+    matrix is tall (samples >= 3 C(l+n,2) and C(l,2) >= 1), and so is the
+    first block, so R is square; for l <= 1 it has no rows and every
     monomial is a relation.
     """
     n_monos = len(wedge_monomials(arr.dim, arr.n))
     samples = _checked_samples(n_monos, samples, tol)
-    mat = _evaluation_matrix(arr, samples, seed)
-    if mat.shape[0] == 0 or n_monos == 0:
+    factor = np.zeros((0, n_monos), dtype=complex)
+    for rows in _wedge_blocks(arr, samples, seed):
+        top = n_monos - len(factor)
+        rows[top:n_monos] = factor
+        factor = np.linalg.qr(rows[top:], mode="r")
+    if not len(factor):
         return RelationBasis(np.eye(n_monos, dtype=complex), tol, samples,
                              np.zeros(0))
-    # Neither the tall Q nor a tall U is formed.
-    _, sing, vh = np.linalg.svd(np.linalg.qr(mat, mode="r"))
+    # Neither a tall Q nor a tall U is formed.
+    _, sing, vh = np.linalg.svd(factor)
     kept = int(np.sum(sing > tol * sing[0]))
     return RelationBasis(np.conj(vh[kept:]), tol, samples, sing)
 
@@ -244,7 +276,8 @@ def verify_relation(arr: ToricArrangement, coefficients, samples: int | None = N
                     tol: float = 1e-8, seed: int = 0) -> bool:
     """True iff the 2-form with these monomial coefficients vanishes at every
     sampled point, relative to the magnitude of the monomials there; the
-    ``samples`` and ``tol`` checks are those of :func:`degree2_relations`."""
+    ``samples`` and ``tol`` checks are those of :func:`degree2_relations`.
+    The points are read block by block of :func:`_wedge_blocks`."""
     monos = wedge_monomials(arr.dim, arr.n)
     coeffs = np.asarray(coefficients, dtype=complex)
     if coeffs.shape != (len(monos),):
@@ -253,8 +286,10 @@ def verify_relation(arr: ToricArrangement, coefficients, samples: int | None = N
     scale = np.linalg.norm(coeffs)
     if scale == 0:
         return True
-    blocks = _evaluation_matrix(arr, samples, seed).reshape(
-        samples, arr.dim * (arr.dim - 1) // 2, len(monos))
-    residual = np.linalg.norm(blocks @ coeffs, axis=1)
-    size = np.maximum(np.linalg.norm(blocks, axis=(1, 2)), 1.0)
-    return not np.any(residual >= tol * scale * size)
+    for rows in _wedge_blocks(arr, samples, seed):
+        blocks = rows[len(monos):].reshape(-1, arr.dim * (arr.dim - 1) // 2, len(monos))
+        residual = np.linalg.norm(blocks @ coeffs, axis=1)
+        size = np.maximum(np.linalg.norm(blocks, axis=(1, 2)), 1.0)
+        if np.any(residual >= tol * scale * size):
+            return False
+    return True

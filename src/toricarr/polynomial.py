@@ -28,15 +28,11 @@ class Polynomial(Frozen):
         return self.coefficients[k] if 0 <= k < len(self.coefficients) else 0
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return Polynomial(tuple(c * other for c in self.coefficients))
         out = [0] * (len(self.coefficients) + len(other.coefficients) - 1)
         for i, x in enumerate(self.coefficients):
             for j, y in enumerate(other.coefficients):
                 out[i + j] += x * y
         return Polynomial(tuple(out))
-
-    __rmul__ = __mul__
 
     def __str__(self) -> str:
         terms = []

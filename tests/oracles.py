@@ -20,6 +20,7 @@ from toricarr.cohomology import DrHypothesisError, DrReport
 from toricarr.forms import (
     RelationBasis,
     _points,
+    _wedge_blocks,
     eval_generator,
     generators,
     wedge_monomials,
@@ -55,6 +56,11 @@ def poly_shift(p, k):
 def binomial(k):
     """(1 + t)^k."""
     return Polynomial(tuple(comb(k, j) for j in range(k + 1)))
+
+
+def poly_scale(c, p):
+    """c * p."""
+    return Polynomial(tuple(c * x for x in p.coefficients))
 
 
 FOUR_LINES_TEXT = ("torus 2\nhyp 1 0 @ 0/1\nhyp 0 1 @ 0/1\n"
@@ -107,6 +113,14 @@ def monomial_matrix_reference(gens, monos, z):
     return out
 
 
+def evaluation_matrix(arr, samples, seed):
+    """The whole (samples * C(l,2)) x C(l+n,2) evaluation matrix: the blocks
+    of ``_wedge_blocks(arr, samples, seed)`` stacked."""
+    top = len(wedge_monomials(arr.dim, arr.n))
+    blocks = [rows[top:].copy() for rows in _wedge_blocks(arr, samples, seed)]
+    return np.vstack(blocks) if blocks else np.zeros((0, top), dtype=complex)
+
+
 def degree2_relations_reference(arr, samples=None, tol=1e-8, seed=0):
     """``degree2_relations`` by the per-sample path: at each of the points
     ``_points(arr, samples, seed)``, one ``eval_generator`` per generator,
@@ -154,7 +168,7 @@ def whitney_poincare(arr):
     #                      = sum_c chi[c] (-1)^c t^c (1+t)^(l-c)
     total = Polynomial((0,))
     for c, coeff in enumerate(chi):
-        total = poly_add(total, poly_shift((-1) ** c * coeff * binomial(arr.dim - c), c))
+        total = poly_add(total, poly_shift(poly_scale((-1) ** c * coeff, binomial(arr.dim - c)), c))
     return total
 
 
@@ -165,7 +179,7 @@ def local_lattice_poincare(arr):
     total = Polynomial((0,))
     for comp in build_poset(arr).components:
         mult = top_local_multiplicity(arr, comp)
-        total = poly_add(total, poly_shift(mult * binomial(comp.dim), comp.codim))
+        total = poly_add(total, poly_shift(poly_scale(mult, binomial(comp.dim)), comp.codim))
     return total
 
 

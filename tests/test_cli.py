@@ -241,6 +241,16 @@ def test_out_of_memory_exit_1(workdir, capsys, monkeypatch):
     assert err == "toricarr: out of memory: Unable to allocate 22.4 GiB\n"
 
 
+def test_out_of_memory_real_allocation_exit_1(workdir, capsys):
+    # the README example: the sample points alone (10^15 x 2 complex, about
+    # 32 PB) exceed the 47-bit address space, so their allocation fails at
+    # once, before anything else scales with the sample count
+    code, out, err = run(capsys, "relations", "--samples=1000000000000000", "four_lines.txt")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("toricarr: out of memory:")
+
+
 def test_drtype_golden(workdir, capsys):
     code, out, _ = run(capsys, "drtype", "two_curves.txt")
     assert code == 0

@@ -12,7 +12,6 @@ from toricarr.forms import (
     RelationBasis,
     _char_values,
     _characters,
-    _evaluation_matrix,
     _points,
     degree2_relations,
     eval_generator,
@@ -27,6 +26,7 @@ from oracles import (
     FOUR_LINES_RELATIONS,
     coeff_vector,
     degree2_relations_reference,
+    evaluation_matrix,
     four_lines,
     monomial_matrix_reference,
     random_arrangement,
@@ -196,7 +196,7 @@ def test_monomial_blocks_match_reference(make):
     monos = wedge_monomials(arr.dim, arr.n)
     rows = arr.dim * (arr.dim - 1) // 2
     for seed in range(3):
-        mat = _evaluation_matrix(arr, 4, seed)
+        mat = evaluation_matrix(arr, 4, seed)
         assert mat.shape == (4 * rows, len(monos))
         z, _ = _points(arr, 4, seed)
         for k in range(4):
@@ -230,7 +230,7 @@ def test_points_redraw_only_failed_rows(monkeypatch):
     assert rounds[-1].all()
     values, ok = _char_values(z, *_characters(arr))
     assert ok.all() and np.array_equal(values, w)
-    mat = _evaluation_matrix(arr, samples, 0)
+    mat = evaluation_matrix(arr, samples, 0)
     for k in range(samples):
         ref = monomial_matrix_reference(gens, monos, z[k])
         assert np.max(np.abs(mat[k:k + 1] - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -253,7 +253,7 @@ def test_matches_per_sample_reference():
     matrix."""
     rng = random.Random(5)
     arrs = [four_lines(), braid(3), braid(4), weyl("A", 3), weyl("B", 3),
-            weyl("C", 3), weyl("G2", 2), weyl("D", 4)]
+            weyl("C", 3), weyl("G2", 2), weyl("D", 4), weyl("B", 4), braid(5)]
     arrs += [random_arrangement(rng, max_l=3, max_n=6) for _ in range(30)]
     for arr in arrs:
         got = degree2_relations(arr, seed=0)
@@ -266,6 +266,35 @@ def test_matches_per_sample_reference():
         proj_got = got.matrix.conj().T @ got.matrix
         proj_ref = ref.matrix.conj().T @ ref.matrix
         assert np.max(np.abs(proj_got - proj_ref), initial=0.0) <= 1e-8
+
+
+@pytest.mark.parametrize("make", [lambda: weyl("D", 4), lambda: weyl("B", 4)],
+                         ids=["D4", "B4"])
+def test_relations_fold_blocks_into_r(make, monkeypatch):
+    """degree2_relations never factors the whole evaluation matrix: every
+    QR sees at most N + K rows (R above one block) and none sees all
+    samples * C(l,2) rows."""
+    arr = make()
+    n_monos = len(wedge_monomials(arr.dim, arr.n))
+    pairs = arr.dim * (arr.dim - 1) // 2
+    total = 4 * n_monos * pairs
+    fold_rows = max(forms._FOLD * n_monos, forms._CHUNK_BYTES // (16 * n_monos))
+    fold = -(-fold_rows // pairs) * pairs
+    shapes = []
+    qr = np.linalg.qr
+
+    def recording(a, mode):
+        shapes.append(a.shape)
+        return qr(a, mode=mode)
+
+    monkeypatch.setattr(forms.np.linalg, "qr", recording)
+    degree2_relations(arr, seed=0)
+    assert len(shapes) >= 2
+    assert all(cols == n_monos for _, cols in shapes)
+    assert all(rows <= n_monos + fold for rows, _ in shapes)
+    assert all(rows < total for rows, _ in shapes)
+    # R's rows above each block after the first: every row folded in once
+    assert sum(rows for rows, _ in shapes) - n_monos * (len(shapes) - 1) == total
 
 
 def test_b3_basis_shape_and_rows_are_relations():
