@@ -1,10 +1,16 @@
 """Command-line interface with deterministic, line-oriented reports.
 
-Every report opens with the command name and the sha256 of the input file,
-followed by ``key: value`` result lines in a fixed order.  Exit codes:
-0 success, 1 user error (bad file, bad flags, or an input too large: a
-trace past ``MAX_TRACE_PIECES``, or out of memory), 2 refusal (a requested
-deletion-restriction computation whose hypothesis fails).
+Every report of a file command opens with the command name, the input path
+and the sha256 of the input file, followed by ``key: value`` result lines
+in a fixed order.  Exit codes: 0 success, 1 user error (bad file, bad
+flags, or an input too large: a trace past ``MAX_TRACE_PIECES``, or out of
+memory), 2 refusal (a requested deletion-restriction computation whose
+hypothesis fails).
+
+:func:`main` is the one writer of stdout.  It loads the input, puts the
+header first and collects the lines that the command's ``cmd_*`` generator
+yields; it writes them only when the command ends.  So exit 0 writes the
+whole report, exit 2 the lines before the refusal, and exit 1 nothing.
 
 numpy is loaded only by ``relations``: :mod:`toricarr.forms` is a lazy module
 (see the package docstring), touched only inside :func:`cmd_relations`.  No
@@ -40,15 +46,9 @@ def _load(path: str) -> tuple[ToricArrangement, str]:
     return parse(data.decode("utf-8")), hashlib.sha256(data).hexdigest()
 
 
-def _emit(key, value):
+def _line(key, value) -> str:
     text = str(value)
-    print(f"{key}: {text}" if text else f"{key}:")
-
-
-def _header(command: str, path: str, digest: str):
-    _emit("command", command)
-    _emit("input", path)
-    _emit("sha256", digest)
+    return f"{key}: {text}\n" if text else f"{key}:\n"
 
 
 def _poly_str(poly) -> str:
@@ -71,27 +71,23 @@ def _parse_ordering(text: str, n: int) -> tuple[int, ...]:
     return ordering
 
 
-def cmd_analyze(args) -> int:
-    arr, digest = _load(args.file)
+def cmd_analyze(arr, args):
     report = find_dr_ordering(arr)
     poset = build_poset(arr)
-    poincare_dcp = poset.poincare()
     poincare_dr = "unavailable"
     if report.ordering is not None:
         try:
             poincare_dr = _poly_str(dr_poincare(arr, report.ordering))
         except DrHypothesisError:
             pass
-    _header("analyze", args.file, digest)
-    _emit("l", arr.dim)
-    _emit("n", arr.n)
-    _emit("unimodular", str(poset.unimodular).lower())
-    _emit("dr_type", str(report.verdict).lower())
-    _emit("dr_ordering", _ordering_str(report.ordering))
-    _emit("poincare_dcp", _poly_str(poincare_dcp))
-    _emit("poincare_dr", poincare_dr)
-    _emit("poset_layers", " ".join(str(s) for s in poset.layer_sizes()))
-    return EXIT_OK
+    yield _line("l", arr.dim)
+    yield _line("n", arr.n)
+    yield _line("unimodular", str(poset.unimodular).lower())
+    yield _line("dr_type", str(report.verdict).lower())
+    yield _line("dr_ordering", _ordering_str(report.ordering))
+    yield _line("poincare_dcp", _poly_str(poset.poincare()))
+    yield _line("poincare_dr", poincare_dr)
+    yield _line("poset_layers", " ".join(str(s) for s in poset.layer_sizes()))
 
 
 def _basis_str(mat) -> str:
@@ -102,98 +98,72 @@ def _values_str(values) -> str:
     return "[" + " ".join(f"{v.numerator}/{v.denominator}" for v in values) + "]"
 
 
-def cmd_poset(args) -> int:
-    arr, digest = _load(args.file)
+def cmd_poset(arr, args):
     poset = build_poset(arr)
-    _header("poset", args.file, digest)
-    _emit("l", arr.dim)
-    _emit("n", arr.n)
-    _emit("components", len(poset.components))
-    _emit("layer_sizes", " ".join(str(s) for s in poset.layer_sizes()))
+    yield _line("l", arr.dim)
+    yield _line("n", arr.n)
+    yield _line("components", len(poset.components))
+    yield _line("layer_sizes", " ".join(str(s) for s in poset.layer_sizes()))
     for k, comp in enumerate(poset.components, start=1):
-        _emit(f"component {k}",
-              f"codim={comp.codim} dim={comp.dim} "
-              f"basis={_basis_str(comp.sat_basis)} values={_values_str(comp.values)}")
+        yield _line(f"component {k}",
+                    f"codim={comp.codim} dim={comp.dim} "
+                    f"basis={_basis_str(comp.sat_basis)} values={_values_str(comp.values)}")
     for i, j in poset.covers:
-        _emit("cover", f"{i + 1} < {j + 1}")
-    return EXIT_OK
+        yield _line("cover", f"{i + 1} < {j + 1}")
 
 
-def cmd_poincare(args) -> int:
-    arr, digest = _load(args.file)
+def cmd_poincare(arr, args):
     if args.method == "dcp" and args.ordering is not None:
         raise ValueError("--ordering only applies to --method=dr")
-    ordering = None if args.ordering is None else _parse_ordering(args.ordering, arr.n)
-    if args.method == "dcp":
-        result = dcp_poincare(arr)
-    else:
-        if ordering is None:
-            ordering = find_dr_ordering(arr).ordering
-        result = DrHypothesisError("no ordering satisfies the deletion-restriction condition")
-        if ordering is not None:
-            try:
-                result = dr_poincare(arr, ordering)
-            except DrHypothesisError as exc:
-                result = exc
     # a refusal (exit 2) still reports the method and the ordering it refused
-    _header("poincare", args.file, digest)
-    _emit("method", args.method)
-    if ordering is not None:
-        _emit("ordering", _ordering_str(ordering))
-    if isinstance(result, DrHypothesisError):
-        raise result
-    _emit("poincare", _poly_str(result))
-    return EXIT_OK
+    yield _line("method", args.method)
+    if args.method == "dcp":
+        yield _line("poincare", _poly_str(dcp_poincare(arr)))
+        return
+    ordering = (find_dr_ordering(arr).ordering if args.ordering is None
+                else _parse_ordering(args.ordering, arr.n))
+    if ordering is None:
+        raise DrHypothesisError("no ordering satisfies the deletion-restriction condition")
+    yield _line("ordering", _ordering_str(ordering))
+    yield _line("poincare", _poly_str(dr_poincare(arr, ordering)))
 
 
-def cmd_unimodular(args) -> int:
-    arr, digest = _load(args.file)
-    unimodular = is_unimodular(arr)
-    _header("unimodular", args.file, digest)
-    _emit("unimodular", str(unimodular).lower())
-    return EXIT_OK
+def cmd_unimodular(arr, args):
+    yield _line("unimodular", str(is_unimodular(arr)).lower())
 
 
-def cmd_drtype(args) -> int:
-    arr, digest = _load(args.file)
+def cmd_drtype(arr, args):
     report = find_dr_ordering(arr)
-    _header("drtype", args.file, digest)
-    _emit("dr_type", str(report.verdict).lower())
-    _emit("dr_ordering", _ordering_str(report.ordering))
-    _emit("step_counts",
-          " ".join(str(c) for c in report.step_counts)
-          if report.ordering is not None else "none")
-    return EXIT_OK
+    yield _line("dr_type", str(report.verdict).lower())
+    yield _line("dr_ordering", _ordering_str(report.ordering))
+    yield _line("step_counts",
+                " ".join(str(c) for c in report.step_counts)
+                if report.ordering is not None else "none")
 
 
-def cmd_weyl(args) -> int:
-    arr = weyl(args.family, args.rank, simple_only=args.simple_only)
-    sys.stdout.write(serialize(arr))
-    return EXIT_OK
+def cmd_weyl(args):
+    yield serialize(weyl(args.family, args.rank, simple_only=args.simple_only))
 
 
-def cmd_relations(args) -> int:
+def cmd_relations(arr, args):
     if args.seed < 0:
         raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
-    arr, digest = _load(args.file)
     monos = forms.wedge_monomials(arr.dim, arr.n)
     gens = forms.generators(arr)
     basis = forms.degree2_relations(arr, samples=args.samples, tol=args.tol, seed=args.seed)
     # h2 = C(l, 2) + n(l - 1) + sum over codim 2 of |mu| = m - 1 = the steps that count it
     l, n = arr.dim, arr.n
     h2 = l * (l - 1) // 2 + n * (l - 1) + sum(dr_condition_check(arr, range(n)).step_counts)
-    _header("relations", args.file, digest)
-    _emit("samples", basis.samples)
-    _emit("tol", args.tol)
-    _emit("seed", args.seed)
-    _emit("generators", " ".join(g.name() for g in gens))
-    _emit("monomials", len(monos))
-    _emit("monomial_order",
-          " ".join(f"{gens[a].name()}^{gens[b].name()}" for a, b in monos))
-    _emit("nullity", basis.nullity)
-    _emit("expected_h2", h2)
-    _emit("consistent", str(len(monos) - basis.nullity == h2).lower())
-    return EXIT_OK
+    yield _line("samples", basis.samples)
+    yield _line("tol", args.tol)
+    yield _line("seed", args.seed)
+    yield _line("generators", " ".join(g.name() for g in gens))
+    yield _line("monomials", len(monos))
+    yield _line("monomial_order",
+                " ".join(f"{gens[a].name()}^{gens[b].name()}" for a, b in monos))
+    yield _line("nullity", basis.nullity)
+    yield _line("expected_h2", h2)
+    yield _line("consistent", str(len(monos) - basis.nullity == h2).lower())
 
 
 @cache
@@ -247,18 +217,33 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # usage errors exit with code 1, --help with 0
         return EXIT_USER_ERROR if exc.code else EXIT_OK
+    lines: list[str] = []
+    refusal = None
     try:
-        return args.func(args)
+        try:
+            if args.command == "weyl":  # the one command without an input file
+                report = cmd_weyl(args)
+            else:
+                arr, digest = _load(args.file)
+                lines += (_line("command", args.command), _line("input", args.file),
+                          _line("sha256", digest))
+                report = args.func(arr, args)
+            for line in report:
+                lines.append(line)
+        except DrHypothesisError as exc:  # the lines before a refusal are its report
+            refusal = exc
+        sys.stdout.writelines(lines)
     except (OSError, ValueError) as exc:
         print(f"toricarr: {exc}", file=sys.stderr)
         return EXIT_USER_ERROR
-    except DrHypothesisError as exc:
-        print(f"toricarr: refused: {exc}", file=sys.stderr)
-        return EXIT_REFUSED
     except MemoryError as exc:
         print(f"toricarr: out of memory: {exc}" if str(exc) else "toricarr: out of memory",
               file=sys.stderr)
         return EXIT_USER_ERROR
+    if refusal is None:
+        return EXIT_OK
+    print(f"toricarr: refused: {refusal}", file=sys.stderr)
+    return EXIT_REFUSED
 
 
 def run():

@@ -48,16 +48,20 @@ class DrReport(Frozen):
     __slots__ = ("ordering", "step_counts", "verdict")
 
 
-_last: list = [lambda: None, None]
+_last = (lambda: None, None)
 
 
 def _top(arr: ToricArrangement):
     """``arr``'s keys and trace table, held for the last object seen (by weak
     reference): consecutive public calls on it, as ``analyze`` and
-    ``poincare --method=dr`` make, build each trace once."""
-    if _last[0]() is not arr:
-        _last[:] = [ref(arr), (_keys(arr), {})]
-    return _last[1]
+    ``poincare --method=dr`` make, build each trace once.  The held pair is
+    read once and replaced whole, so a thread never gets another object's."""
+    global _last
+    held, top = _last
+    if held() is not arr:
+        top = _keys(arr), {}
+        _last = ref(arr), top
+    return top
 
 
 def _entry(keys, table: dict, i: int):

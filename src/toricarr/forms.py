@@ -11,9 +11,9 @@ All sample points come from one generator: every round draws the points
 still open as one array, and only the rows that fail the draw test are drawn
 again.  The wedge monomials at those points are never held as one matrix.
 They are evaluated in blocks of whole samples, about ``_FOLD`` times as many
-rows as there are monomials, into one reused buffer: each chunk of samples
-of bounded size has its covectors computed from the points and their
-character values, and its wedge products written straight into the block.
+rows as there are monomials, into one reused buffer: each block has its
+covectors computed in one pass from the points and their character values,
+and its wedge products written straight into the buffer.
 The null space comes from the SVD of the square factor R of the QR
 decomposition of all the blocks stacked, which is folded in block by block
 (a sequential tall-skinny QR): R is refactored together with each new block,
@@ -73,8 +73,7 @@ def _constant(b: Fraction) -> complex:
 
 
 _TINY = np.finfo(float).tiny
-# Size in bytes of the temporaries of one chunk of samples in _wedge_blocks,
-# and the least size of one of its blocks.
+# The least size in bytes of one block of _wedge_blocks.
 _CHUNK_BYTES = 1 << 20
 # Rows of one block of _wedge_blocks, as a multiple of the monomial count N:
 # each QR fold in degree2_relations refactors R's N rows with one block.
@@ -118,7 +117,10 @@ def _points(arr: ToricArrangement, samples: int, seed):
 
 def _characters(arr: ToricArrangement):
     """The exponent rows (n x l, as floats) and the constants of the hypersurfaces."""
-    exps = np.array([h.chi for h in arr.hypersurfaces], dtype=float).reshape(arr.n, arr.dim)
+    try:
+        exps = np.array([h.chi for h in arr.hypersurfaces], dtype=float).reshape(arr.n, arr.dim)
+    except OverflowError:
+        raise ValueError("an exponent is outside the floating-point range") from None
     consts = np.array([_constant(h.b) for h in arr.hypersurfaces], dtype=complex)
     return exps, consts
 
@@ -194,36 +196,40 @@ def _wedge_blocks(arr: ToricArrangement, samples: int, seed):
     are still drawn.
     """
     l, g = arr.dim, arr.dim + arr.n
-    a, b = np.triu_indices(g, 1)
-    pairs = tuple(zip(*np.triu_indices(l, 1)))
+    p, q = np.triu_indices(l, 1)
+    pairs = len(p)
     exps, consts = _characters(arr)
     z, w = _points(arr, samples, seed)
     if not pairs:
         return
-    top = len(a)
+    top = g * (g - 1) // 2
     # At least _CHUNK_BYTES of rows: below that size the QR calls' fixed cost
     # outweighs the memory a smaller block saves.
     fold_rows = max(_FOLD * top, _CHUNK_BYTES // (16 * top))
-    per_block = min(samples, -(-fold_rows // len(pairs)))
-    buf = np.empty((top + per_block * len(pairs), top), dtype=complex)
-    blocks = buf[top:].reshape(per_block, len(pairs), top)
+    per_block = min(samples, -(-fold_rows // pairs))
+    buf = np.empty((top + per_block * pairs, top), dtype=complex)
+    blocks = buf[top:].reshape(per_block, pairs, top)
     coords = np.arange(l)
-    sample_bytes = 16 * (arr.n * (l + 4) + l * g + 5 * top)
-    step = max(1, _CHUNK_BYTES // sample_bytes)
     for start in range(0, samples, per_block):
         stop = min(start + per_block, samples)
-        for lo in range(start, stop, step):
-            hi = min(lo + step, stop)
-            zc, wc = z[lo:hi].T, w[lo:hi]
-            # cov[p, s, i]: slot p of generator i's covector at the chunk's
-            # sample s (see eval_generator).
-            cov = np.zeros((l, hi - lo, g), dtype=complex)
-            cov[coords, :, coords] = 1.0 / zc
-            cov[:, :, l:] = wc / (wc - consts) * exps.T[:, None, :] / zc[:, :, None]
-            for r, (p, q) in enumerate(pairs):
-                np.subtract(cov[p][:, a] * cov[q][:, b], cov[q][:, a] * cov[p][:, b],
-                            out=blocks[lo - start:hi - start, r])
-        yield buf[:top + (stop - start) * len(pairs)]
+        zc, wc = z[start:stop].T, w[start:stop]
+        # cov[p, s, i]: slot p of generator i's covector at the block's
+        # sample s (see eval_generator).
+        cov = np.zeros((l, stop - start, g), dtype=complex)
+        cov[coords, :, coords] = 1.0 / zc
+        cov[:, :, l:] = wc / (wc - consts) * exps.T[:, None, :] / zc[:, :, None]
+        # The monomials i^j, j > i, are consecutive columns: one product per
+        # i, whose temporaries scale with cov, not with the block (gathering
+        # every monomial's factors at once takes 3x the block, on l = 2 more
+        # than the QR fold).
+        P, Q, out = cov[p], cov[q], blocks[:stop - start].transpose(1, 0, 2)
+        col = 0
+        for i in range(g - 1):
+            cols = slice(col, col + g - 1 - i)
+            np.multiply(P[:, :, i, None], Q[:, :, i + 1:], out=out[:, :, cols])
+            out[:, :, cols] -= Q[:, :, i, None] * P[:, :, i + 1:]
+            col = cols.stop
+        yield buf[:top + (stop - start) * pairs]
 
 
 def _checked_samples(n_monos: int, samples: int | None, tol: float) -> int:

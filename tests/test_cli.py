@@ -1,3 +1,5 @@
+import errno
+import io
 import os
 import subprocess
 import sys
@@ -199,6 +201,55 @@ def test_failed_computation_leaves_stdout_empty(workdir, capsys, monkeypatch,
     assert err == "toricarr: too large\n"
 
 
+def _late_failure(*args):
+    raise ValueError("failed after the header")
+
+
+class _Unprintable:
+    def __str__(self):
+        raise ValueError("failed after the header")
+
+
+@pytest.mark.parametrize("argv, target, replacement", [
+    (("analyze",), "toricarr.cli._ordering_str", _late_failure),
+    (("poset",), "toricarr.cli._values_str", _late_failure),
+    (("poincare", "--method=dcp"), "toricarr.cli._poly_str", _late_failure),
+    (("poincare", "--method=dr"), "toricarr.cli._poly_str", _late_failure),
+    (("unimodular",), "toricarr.cli.is_unimodular", lambda arr: _Unprintable()),
+    (("drtype",), "toricarr.cli._ordering_str", _late_failure),
+    (("relations",), "toricarr.forms.FormGenerator.name", _late_failure),
+], ids=["analyze", "poset", "dcp", "dr", "unimodular", "drtype", "relations"])
+def test_failure_after_first_lines_leaves_stdout_empty(workdir, capsys, monkeypatch,
+                                                        argv, target, replacement):
+    # the failure comes once the header and some lines are known: none is written
+    monkeypatch.setattr(target, replacement)
+    code, out, err = run(capsys, *argv, "four_lines.txt")
+    assert (code, out, err) == (1, "", "toricarr: failed after the header\n")
+
+
+def test_poset_value_past_int_string_limit_leaves_stdout_empty(workdir, capsys):
+    # the two constants parse (2,386 and 2,536 digits), but the point where
+    # the curves meet has a value whose denominator has more digits than
+    # int-to-str converts: the report fails after its first ten lines
+    (workdir / "long.txt").write_text(
+        f"torus 2\nhyp 1 1 @ 1/{3 ** 5000}\nhyp 1 -1 @ 1/{7 ** 3000}\n")
+    code, out, err = run(capsys, "poset", "long.txt")
+    assert (code, out) == (1, "")
+    assert err.startswith("toricarr: ") and err.count("\n") == 1
+
+
+class _BrokenPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+def test_broken_pipe_exit_1(workdir, capsys, monkeypatch):
+    # as `toricarr poset b6.txt | head -1`: the write fails inside main's handler
+    monkeypatch.setattr(sys, "stdout", _BrokenPipe())
+    code = main(["poset", "four_lines.txt"])
+    assert (code, capsys.readouterr().err) == (1, "toricarr: [Errno 32] Broken pipe\n")
+
+
 HUGE = "torus 2\nhyp 100000000000000000000 1 @ 0/1\nhyp 0 1 @ 1/3\n"
 HUGE_SHA = "dca5a068b1e7a487ace431508cecca6aac5e3dbb4dcb7c50c7c964972aef1c15"
 
@@ -354,6 +405,14 @@ def test_relations_huge_exponent_refused(workdir, capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("toricarr: 1000 draws")
+
+
+def test_relations_exponent_past_float_range_refused(workdir, capsys):
+    # a 401-digit exponent does not convert to a float at all
+    (workdir / "huge.txt").write_text(f"torus 2\nhyp {10 ** 400} 1 @ 0/1\nhyp 0 1 @ 1/3\n")
+    code, out, err = run(capsys, "relations", "huge.txt")
+    assert (code, out) == (1, "")
+    assert err == "toricarr: an exponent is outside the floating-point range\n"
 
 
 def test_sampling_error_is_a_value_error(workdir, capsys, monkeypatch):

@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 from itertools import permutations
 from math import factorial
 
@@ -257,6 +259,38 @@ def test_search_and_recursion_share_the_top_level_traces(monkeypatch):
     first = len(calls)
     find_dr_ordering(weyl("B", 3))
     assert len(calls) > first
+
+
+def test_threads_on_several_arrangements_read_their_own_traces():
+    """Threads, more than the cores of a small machine, alternate the held
+    arrangement with a thread switch every microsecond: each check must still
+    read its own object's keys and traces, never another's (a wrong table
+    fails the permutation test or gives wrong counts)."""
+    arrs = [weyl("A", 2), weyl("B", 2), weyl("G2", 2)]
+    expected = [dr_condition_check(arr, range(arr.n)) for arr in arrs]
+    wrong = []
+
+    def check(arr, want):
+        for _ in range(70_000):
+            try:
+                got = dr_condition_check(arr, range(arr.n))
+            except Exception as exc:  # a wrong table can fail in any way
+                got = exc
+            if got != want:
+                wrong.append(got)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=check, args=pair) for pair in zip(arrs, expected)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
 
 
 def test_dr_steps_monotone():
